@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fmt check cover ci bench bench-smoke pardebug obsoverhead execlog vet-mpl vetprune compilecache cache-check fusion-check absint-check dispatch serve serve-smoke stream stream-smoke emu-check debug
+.PHONY: all build test race vet fmt check cover ci bench bench-smoke examples-smoke pardebug obsoverhead execlog vet-mpl vetprune compilecache cache-check fusion-check absint-check dispatch serve serve-smoke stream stream-smoke emu-check debug
 
 all: build
 
@@ -74,8 +74,17 @@ vet-mpl: build
 	fi
 	@echo "vet-mpl: OK"
 
-ci: check cover bench-smoke vet-mpl absint-check cache-check serve-smoke stream-smoke emu-check
+ci: check cover bench-smoke examples-smoke vet-mpl absint-check cache-check serve-smoke stream-smoke emu-check
 	@echo "ci: OK"
+
+# Every example program must run to a zero exit: they drive the public
+# packages end to end and otherwise rot unnoticed.
+examples-smoke: build
+	@for d in examples/*/; do \
+		echo "go run ./$$d"; \
+		$(GO) run ./$$d >/dev/null || { echo "examples-smoke: $$d failed"; exit 1; }; \
+	done
+	@echo "examples-smoke: OK"
 
 # Debugging-phase fast-path gate: the pooled fast-dispatch emulation must
 # be byte-identical to the fresh-VM generic oracle across the golden

@@ -382,3 +382,34 @@ func BenchmarkCompileCached(b *testing.B) {
 		}
 	})
 }
+
+// --- E23: flowback at the focus interval -------------------------------------
+
+// BenchmarkFlowbackFocus measures the debugging phase's first question on
+// the sync-heavy workloads: each op builds a fresh controller (so every
+// interval misses the cache), emulates and builds every process's focus
+// interval, and renders its flowback fragment.
+func BenchmarkFlowbackFocus(b *testing.B) {
+	for _, w := range []*workloads.Workload{
+		workloads.Relay(4, 30), workloads.TokenRing(3, 30), workloads.ProdCons(150),
+	} {
+		b.Run(w.Name, func(b *testing.B) {
+			art := mustCompile(b, w, eblock.DefaultConfig())
+			v := runVM(b, art, vm.ModeLog)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				c := controller.FromRun(art, v)
+				for pid := 0; pid < c.NumProcs(); pid++ {
+					g, _, err := c.CurrentGraph(pid)
+					if err != nil {
+						b.Fatal(err)
+					}
+					if controller.RenderFragment(g, c.FocusNode(g, pid).ID, 4) == "" {
+						b.Fatal("empty flowback fragment")
+					}
+				}
+			}
+		})
+	}
+}

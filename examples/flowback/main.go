@@ -71,10 +71,11 @@ func main() {
 	fmt.Println("top-level flowback at the final assignment (sub-graph nodes collapsed):")
 	fmt.Print(controller.RenderFragment(g, last.ID, 2))
 
-	// Count how much of the program the controller actually emulated.
+	// Count how much of the program the controller actually emulated. The
+	// emulator streamed its events into the graph, so no trace was kept.
 	res := c.Result(0, mainIdx)
-	fmt.Printf("\nincremental tracing: emulated %d log records; %d trace events\n",
-		res.RecordsConsumed, res.Trace.Len())
+	fmt.Printf("\nincremental tracing: emulated %d log records into %d nodes and %d edges\n",
+		res.RecordsConsumed, len(g.Nodes), len(g.Edges))
 
 	// The user asks about SubD: expand the sub-graph node by emulating
 	// SubD's own interval (the nested log interval of §5.2).

@@ -39,8 +39,9 @@ type Artifacts struct {
 
 	// Facts is the abstract-interpretation result (analysis/absint),
 	// computed once per pipeline run and shared by the fusion pass (safety
-	// certificates) and the vet passes. Nil on cache-loaded artifacts until
-	// Hydrate rebuilds the semantic layers.
+	// certificates) and the vet passes. It is nil on cache-loaded
+	// artifacts, hydrated or not: their bytecode is already fused and
+	// their vet result comes from the cache entry, so nothing reads it.
 	Facts *absint.Facts
 
 	cfg    eblock.Config    // for Hydrate
@@ -53,8 +54,9 @@ type Artifacts struct {
 // Hydrate ensures the semantic layers (Info, PDG, Plan, DB) are present,
 // rebuilding them from source for cache-loaded artifacts. It is a no-op on
 // artifacts from a full compile. The rebuild runs the front-end passes
-// only — codegen is skipped since Prog came from the cache — and seeds the
-// database's vet slot with the persisted result so no analysis pass reruns.
+// only — abstract interpretation and codegen are skipped since Prog came
+// from the cache — and seeds the database's vet slot with the persisted
+// result so no analysis pass reruns. Facts stays nil.
 func (a *Artifacts) Hydrate() error {
 	a.hydrateOnce.Do(func() {
 		if a.DB != nil {
@@ -69,7 +71,7 @@ func (a *Artifacts) Hydrate() error {
 			a.hydrateErr = err
 			return
 		}
-		a.Info, a.PDG, a.Plan, a.DB, a.Facts = full.Info, full.PDG, full.Plan, full.DB, full.Facts
+		a.Info, a.PDG, a.Plan, a.DB = full.Info, full.PDG, full.Plan, full.DB
 		if a.preVet != nil {
 			pre := a.preVet
 			a.DB.EnsureVet(func() *analysis.Result { return pre })
@@ -299,16 +301,16 @@ func compilePipeline(file *source.File, cfg eblock.Config, po pipelineOpts) (*Ar
 	db := progdb.BuildWith(p, plan, po.pool)
 	sc.End()
 
+	if po.skipCodegen {
+		return &Artifacts{File: file, Info: info, PDG: p, Plan: plan, DB: db, cfg: cfg}, nil
+	}
+
 	// Abstract interpretation over the finished PDG: the value-range and
 	// lockset facts feed both the fusion pass below (safety certificates
 	// for trapping constituents) and the vet passes (Artifacts.Vet).
 	sc = pass("absint")
 	facts := absint.Analyze(p)
 	sc.End()
-
-	if po.skipCodegen {
-		return &Artifacts{File: file, Info: info, PDG: p, Plan: plan, DB: db, Facts: facts, cfg: cfg}, nil
-	}
 
 	sc = pass("codegen")
 	c := &compiler{

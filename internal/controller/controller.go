@@ -17,7 +17,6 @@ import (
 	"strings"
 	"sync"
 
-	"ppd/internal/analysis"
 	"ppd/internal/ast"
 	"ppd/internal/bitset"
 	"ppd/internal/compile"
@@ -34,7 +33,7 @@ import (
 // DefaultCacheBound is the default LRU capacity of the per-interval
 // graph/result cache: enough that an interactive session never thrashes,
 // small enough that a sweep across thousands of intervals cannot hold
-// every full trace alive.
+// every dynamic graph alive.
 const DefaultCacheBound = 128
 
 // Controller is the debugging-phase coordinator. All query methods are
@@ -194,8 +193,8 @@ func (c *Controller) SetCacheBound(n int) {
 	c.cEvicts.Add(int64(c.cache.setCap(n)))
 }
 
-// DropCache empties the interval cache, releasing every cached emulation
-// trace and dynamic graph, and returns the number of entries released.
+// DropCache empties the interval cache, releasing every cached dynamic
+// graph and emulation result, and returns the number of entries released.
 // The releases are reported as debug.cache.evictions. Session teardown
 // (Close, the serving daemon's TTL eviction) uses this to free the
 // debugging phase's memory without discarding the controller itself:
@@ -247,20 +246,19 @@ func (c *Controller) Emulator(pid int) *emulation.Emulator { return c.emus[pid] 
 // is identical to race.Indexed's (the detectors are golden-equivalent).
 //
 // Unless Config.NoStaticPrune is set, the detector is filtered by the
-// static conflict matrix from the program database (computed on first
-// need): buckets of variables no pair of processes can statically
-// conflict on are skipped. The filter cannot change the result — the
-// matrix over-approximates every dynamic conflict — it only removes work.
+// static conflict matrix of the program's vet result (Artifacts.Vet: the
+// persisted result on cache-loaded artifacts, otherwise computed once from
+// the compile-time abstract-interpretation facts): buckets of variables no
+// pair of processes can statically conflict on are skipped. The filter
+// cannot change the result — the matrix over-approximates every dynamic
+// conflict — it only removes work.
 func (c *Controller) Races() []*race.Race {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if !c.racesDone {
 		var mask *bitset.Set
 		if !c.noPrune {
-			vet := c.Art.DB.EnsureVet(func() *analysis.Result {
-				return analysis.Analyze(c.Art.PDG, c.Art.Prog, c.obs)
-			})
-			mask = vet.Conflicts.Mask()
+			mask = c.Art.Vet(c.obs).Conflicts.Mask()
 		}
 		c.races = race.ParallelMasked(c.pgraph, c.pool.Workers(), mask, c.obs)
 		c.racesDone = true
@@ -326,10 +324,11 @@ func (c *Controller) Graph(pid, prelogIdx int) (*dynpdg.Graph, error) {
 }
 
 // interval is the memoized emulate-and-build step behind Graph, Result,
-// and the prefetcher. Emulation runs outside the lock so cache misses on
-// different intervals overlap; if two goroutines race on the same miss,
-// the first insertion wins and both observe the same entry (pointer
-// stability for cached graphs).
+// and the prefetcher. Emulation and graph construction are one pass: the
+// emulator hands each trace event to the builder as it is produced. They
+// run outside the lock so cache misses on different intervals overlap; if
+// two goroutines race on the same miss, the first insertion wins and both
+// observe the same entry (pointer stability for cached graphs).
 func (c *Controller) interval(pid, prelogIdx int) (*intervalEntry, error) {
 	if pid < 0 || pid >= len(c.emus) {
 		return nil, fmt.Errorf("controller: no process %d", pid)
@@ -344,15 +343,21 @@ func (c *Controller) interval(pid, prelogIdx int) (*intervalEntry, error) {
 	c.mu.Unlock()
 	c.cMisses.Inc()
 
-	sw := c.tEmu.Start()
-	res, err := c.emus[pid].Emulate(prelogIdx)
-	sw.Stop()
+	// No trace is stored: the entry holds the graph and the result's
+	// scalar fields.
+	em := c.emus[pid]
+	fn, err := em.IntervalFunc(prelogIdx)
 	if err != nil {
 		return nil, err
 	}
-	rec := c.Log.Books[pid].Records[prelogIdx]
-	fn := c.Art.Prog.Funcs[c.Art.Prog.Blocks[rec.Block].FuncIdx]
-	ent := &intervalEntry{graph: dynpdg.Build(c.Art, res.Trace, fn.Name), res: res}
+	sw := c.tEmu.Start()
+	b := dynpdg.NewBuilder(c.Art, fn.Name)
+	res := &emulation.Result{}
+	if err := em.EmulateTo(prelogIdx, res, b); err != nil {
+		return nil, err
+	}
+	ent := &intervalEntry{graph: b.Graph(), res: res}
+	sw.Stop()
 
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -363,9 +368,11 @@ func (c *Controller) interval(pid, prelogIdx int) (*intervalEntry, error) {
 	return ent, nil
 }
 
-// Result returns the cached emulation result for an interval (after Graph).
-// It returns nil when the interval was never emulated or its entry has
-// aged out of the LRU bound.
+// Result returns the cached emulation result for an interval (after Graph):
+// its Globals, RecordsConsumed, Completed and Err. Its Trace is nil — the
+// events were streamed into the interval's graph, never stored. It returns
+// nil when the interval was never emulated or its entry has aged out of the
+// LRU bound.
 func (c *Controller) Result(pid, prelogIdx int) *emulation.Result {
 	c.mu.Lock()
 	defer c.mu.Unlock()

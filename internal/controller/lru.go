@@ -8,7 +8,8 @@ import (
 )
 
 // intervalEntry is everything the controller memoizes per emulated
-// interval: the dynamic graph and the emulation result it was built from.
+// interval: the dynamic graph and the emulation result's scalar fields
+// (the result's Trace is nil: the events were streamed into the graph).
 type intervalEntry struct {
 	graph *dynpdg.Graph
 	res   *emulation.Result
@@ -17,7 +18,7 @@ type intervalEntry struct {
 // intervalLRU is a bounded least-recently-used cache of interval entries
 // keyed by (pid, prelogIdx). The log is immutable after the run, so there
 // is no invalidation — the bound exists only to cap memory when a session
-// wanders across many intervals (each entry holds a full trace and graph).
+// wanders across many intervals (each entry holds a dynamic graph).
 // Callers synchronize externally (the controller holds its mutex).
 type intervalLRU struct {
 	cap   int        // <= 0 means unbounded

@@ -1,7 +1,9 @@
 // Package dynpdg builds dynamic program dependence graphs (§4.2) from
 // traces: the run-time counterpart of the static PDG, with one node per
 // executed event and edges for the flow, data, control, and synchronization
-// relations the user navigates during flowback analysis.
+// relations the user navigates during flowback analysis. The Builder
+// consumes a trace one event at a time, so an emulation can stream its
+// events into it without ever storing them.
 //
 // Node kinds follow Fig 4.1: ENTRY/EXIT, singular nodes (one per executed
 // assignment or predicate, labelled with the assigned variable or predicate
@@ -14,11 +16,15 @@ package dynpdg
 
 import (
 	"fmt"
+	"math/bits"
+	"slices"
 	"strings"
 
 	"ppd/internal/ast"
 	"ppd/internal/compile"
 	"ppd/internal/logging"
+	"ppd/internal/pdg"
+	"ppd/internal/sem"
 	"ppd/internal/trace"
 )
 
@@ -110,38 +116,38 @@ type Edge struct {
 }
 
 // Graph is the dynamic PDG of one emulated interval (or one full-trace
-// process).
+// process). Nodes and Edges point into the builder's chunked storage, and
+// the adjacency is compressed: the edges arriving at node n are
+// in[inOff[n]:inOff[n+1]], in creation order, and likewise for out. The
+// data edges a statement instance's reads produce are created in
+// ascending source-node order, so the graph is the same on every build.
 type Graph struct {
 	Art   *compile.Artifacts
 	Fn    string // root function of the interval
 	Nodes []*Node
 	Edges []*Edge
 
-	// incoming indexes edges by target for flowback navigation.
-	incoming map[NodeID][]*Edge
-	outgoing map[NodeID][]*Edge
+	inOff, outOff []int32
+	in, out       []*Edge
 }
 
-// NewNode appends a node.
-func (g *Graph) newNode(n *Node) *Node {
-	n.ID = NodeID(len(g.Nodes))
-	n.Seq = len(g.Nodes)
-	g.Nodes = append(g.Nodes, n)
-	return n
+// Incoming returns the edges arriving at n (the flowback direction), in
+// creation order.
+func (g *Graph) Incoming(n NodeID) []*Edge { return adj(g.in, g.inOff, n) }
+
+// Outgoing returns the edges leaving n, in creation order.
+func (g *Graph) Outgoing(n NodeID) []*Edge { return adj(g.out, g.outOff, n) }
+
+func adj(edges []*Edge, off []int32, n NodeID) []*Edge {
+	if n < 0 || int(n)+1 >= len(off) {
+		return nil
+	}
+	lo, hi := off[n], off[n+1]
+	if lo == hi {
+		return nil
+	}
+	return edges[lo:hi:hi]
 }
-
-func (g *Graph) addEdge(kind EdgeKind, from, to NodeID, v int) {
-	e := &Edge{Kind: kind, From: from, To: to, Var: v}
-	g.Edges = append(g.Edges, e)
-	g.incoming[to] = append(g.incoming[to], e)
-	g.outgoing[from] = append(g.outgoing[from], e)
-}
-
-// Incoming returns the edges arriving at n (the flowback direction).
-func (g *Graph) Incoming(n NodeID) []*Edge { return g.incoming[n] }
-
-// Outgoing returns the edges leaving n.
-func (g *Graph) Outgoing(n NodeID) []*Edge { return g.outgoing[n] }
 
 // LastNode returns the most recently created non-exit node, or nil. It is
 // the root the debugger presents first ("the last statement executed").
@@ -165,98 +171,289 @@ func (g *Graph) NodesForStmt(id ast.StmtID) []*Node {
 	return out
 }
 
-// builder state for one activation (function instance) being walked.
-type activation struct {
-	fnIdx    int
-	fnName   string
-	numSlots int
-	// lastWrite maps function-space var index -> defining node.
-	lastWrite map[int]NodeID
-	// ctrlStack holds the predicate nodes currently governing execution
-	// (approximation: the static control dependences resolve which apply;
-	// we use the static PDG to attach control edges precisely).
-	callNode NodeID // the sub-graph node in the caller, or -1 for the root
-}
-
-// Build constructs the dynamic graph from an emulated interval's trace.
-// rootFn names the function the interval belongs to.
+// Build constructs the dynamic graph from a stored trace. rootFn names the
+// function the interval belongs to. It feeds the buffer through the same
+// Builder the controller streams emulated events into.
 func Build(art *compile.Artifacts, buf *trace.Buffer, rootFn string) *Graph {
-	g := &Graph{
-		Art:      art,
-		Fn:       rootFn,
-		incoming: make(map[NodeID][]*Edge),
-		outgoing: make(map[NodeID][]*Edge),
+	b := NewBuilder(art, rootFn)
+	for i := range buf.Events {
+		b.event(&buf.Events[i])
 	}
-	b := &gbuilder{g: g, art: art}
-	b.run(buf, rootFn)
-	return g
+	return b.Graph()
 }
 
-type gbuilder struct {
+// Builder constructs a dynamic graph from a trace delivered one event at a
+// time. It implements trace.Consumer, so an emulation can stream its
+// events straight into it without storing a trace. Its cost is linear in
+// the number of events: every lookup is an index into a per-statement,
+// per-variable or per-activation table.
+type Builder struct {
 	g   *Graph
 	art *compile.Artifacts
 
-	acts []*activation
+	nodes slab[Node]
+	edges slab[Edge]
 
-	// lastWriteGlobal maps GlobalID -> defining node (globals are shared
-	// across activations).
-	lastWriteGlobal map[int]NodeID
+	acts []activation
 
-	// current statement instance node per activation depth
-	curStmtNode NodeID
+	// lastWriteGlobal maps GlobalID -> defining node, or -1 (globals are
+	// shared across activations).
+	lastWriteGlobal []NodeID
+
+	// stmts memoizes per-statement facts, indexed by StmtID.
+	stmts []stmtMemo
+
+	// ctrlArena backs every stmtMemo.ctrl slice.
+	ctrlArena []ast.StmtID
+
+	curStmtNode NodeID // the open statement instance, or -1
 	prevNode    NodeID // for flow edges
 
-	// pending reads of the current statement instance: nodes feeding it.
-	pendingDeps map[NodeID]int // node -> var
+	// pending holds the reads of the current statement instance: the
+	// nodes feeding it, in ascending node order, at most once each.
+	pending []pend
 
 	// callSaves holds, per in-flight call, the caller's open statement node
 	// and its unconsumed pending reads, so the statement instance resumes
 	// when the call returns.
 	callSaves []callSave
 
-	// resume, when set, continues the saved statement instance at the next
-	// EvStmt instead of opening a duplicate node.
-	resume *callSave
+	// resume, when hasResume is set, continues the saved statement
+	// instance at the next EvStmt instead of opening a duplicate node.
+	resume    callSave
+	hasResume bool
+
+	// spare holds retired pending-read arrays for reuse; consumed is
+	// bindParams' scratch.
+	spare    [][]pend
+	consumed []bool
 
 	argVarsCache map[argVarsKey][][]int
 }
 
+// slab is append-only storage in chunks of doubling size (16, 32, 64, ...
+// elements). Elements never move, so pointers to them stay valid, growth
+// copies nothing, and at most half the last chunk is slack.
+type slab[T any] struct {
+	chunks [][]T
+	n      int
+}
+
+const slabBase = 16
+
+func (s *slab[T]) add(v T) {
+	if s.n == slabBase<<len(s.chunks)-slabBase {
+		s.chunks = append(s.chunks, make([]T, slabBase<<len(s.chunks)))
+	}
+	*s.at(s.n) = v
+	s.n++
+}
+
+// at returns element i: chunk k holds elements [16(2^k-1), 16(2^(k+1)-1)).
+func (s *slab[T]) at(i int) *T {
+	k := bits.Len(uint(i/slabBase+1)) - 1
+	return &s.chunks[k][i-(slabBase<<k-slabBase)]
+}
+
+// ptrs returns pointers to every element, in order.
+func (s *slab[T]) ptrs() []*T {
+	out := make([]*T, 0, s.n)
+	for _, c := range s.chunks {
+		for i := range c {
+			if len(out) == s.n {
+				break
+			}
+			out = append(out, &c[i])
+		}
+	}
+	return out
+}
+
+// activation is the builder state for one function instance being walked.
+type activation struct {
+	numSlots int
+	fi       *sem.FuncInfo
+	fpdg     *pdg.FuncPDG
+	// lastWrite maps local slot -> defining node, or -1.
+	lastWrite []NodeID
+	callNode  NodeID // the sub-graph node in the caller, or -1 for the root
+}
+
+// pend is one pending read: the node that defined the value and the
+// variable carried (-1 for a call's or recv's result).
+type pend struct {
+	node NodeID
+	v    int
+}
+
 type callSave struct {
 	stmtNode NodeID
-	pending  map[NodeID]int
+	pending  []pend
+}
+
+// stmtMemo is what the builder learns about a statement the first time it
+// needs it.
+type stmtMemo struct {
+	// last holds the node IDs + 1 of the statement's two latest instances,
+	// newest first (0 = none): where control edges come from.
+	last [2]int32
+
+	label     string // the statement's text, or "s?" when unknown
+	known     bool   // the statement exists in the AST
+	pureSync  bool   // P, V, send or spawn: one sync node per instance
+	labelDone bool
+
+	ctrl     []ast.StmtID // static controlling predicates' statements
+	ctrlDone bool
 }
 
 type argVarsKey struct {
-	fn     string
 	stmt   ast.StmtID
 	callee int
 }
 
-func (b *gbuilder) top() *activation { return b.acts[len(b.acts)-1] }
-
-func (b *gbuilder) run(buf *trace.Buffer, rootFn string) {
-	fn := b.art.Prog.FuncByName(rootFn)
-	b.lastWriteGlobal = make(map[int]NodeID)
-	entry := b.g.newNode(&Node{Kind: NodeEntry, Label: "ENTRY:" + rootFn, Var: -1})
-	b.prevNode = entry.ID
-	b.acts = []*activation{{
-		fnIdx:     fn.Idx,
-		fnName:    rootFn,
-		numSlots:  fn.NumSlots,
-		lastWrite: make(map[int]NodeID),
-		callNode:  -1,
-	}}
-	b.pendingDeps = make(map[NodeID]int)
-	b.curStmtNode = -1
-
-	for i := range buf.Events {
-		b.event(&buf.Events[i])
+// NewBuilder starts the graph of an interval of rootFn: the ENTRY node and
+// the root activation.
+func NewBuilder(art *compile.Artifacts, rootFn string) *Builder {
+	b := &Builder{
+		g:               &Graph{Art: art, Fn: rootFn},
+		art:             art,
+		lastWriteGlobal: make([]NodeID, len(art.Prog.Globals)),
+		stmts:           make([]stmtMemo, art.Info.Prog.NumStmts+1),
+		curStmtNode:     -1,
 	}
-	if b.curStmtNode >= 0 && len(b.pendingDeps) > 0 {
+	for i := range b.lastWriteGlobal {
+		b.lastWriteGlobal[i] = -1
+	}
+	fn := art.Prog.FuncByName(rootFn)
+	b.prevNode = b.newNode(Node{Kind: NodeEntry, Label: "ENTRY:" + rootFn, Var: -1})
+	b.pushActivation(rootFn, fn.NumSlots, -1)
+	return b
+}
+
+// Consume adds one trace event to the graph.
+func (b *Builder) Consume(e trace.Event) { b.event(&e) }
+
+// Graph finishes the build — the reads still pending, the EXIT node, the
+// adjacency — and returns the graph. Call it once, after the last event.
+func (b *Builder) Graph() *Graph {
+	if b.curStmtNode >= 0 && len(b.pending) > 0 {
 		b.flushDeps(b.curStmtNode)
 	}
-	exit := b.g.newNode(&Node{Kind: NodeExit, Label: "EXIT:" + rootFn, Var: -1})
-	b.g.addEdge(EdgeFlow, b.prevNode, exit.ID, -1)
+	exit := b.newNode(Node{Kind: NodeExit, Label: "EXIT:" + b.g.Fn, Var: -1})
+	b.addEdge(EdgeFlow, b.prevNode, exit, -1)
+
+	g := b.g
+	g.Nodes = b.nodes.ptrs()
+	g.Edges = b.edges.ptrs()
+	g.in, g.inOff = csr(g.Edges, len(g.Nodes), true)
+	g.out, g.outOff = csr(g.Edges, len(g.Nodes), false)
+	return g
+}
+
+// csr groups edges by target (byTo) or by source, keeping creation order
+// within each group (a counting sort), and returns the grouped edges with
+// the n+1 group offsets.
+func csr(edges []*Edge, n int, byTo bool) ([]*Edge, []int32) {
+	key := func(e *Edge) NodeID {
+		if byTo {
+			return e.To
+		}
+		return e.From
+	}
+	off := make([]int32, n+1)
+	for _, e := range edges {
+		off[key(e)+1]++
+	}
+	for i := 1; i <= n; i++ {
+		off[i] += off[i-1]
+	}
+	out := make([]*Edge, len(edges))
+	for _, e := range edges {
+		k := key(e)
+		out[off[k]] = e
+		off[k]++
+	}
+	// Placement advanced each off[k] to the start of group k+1.
+	copy(off[1:], off[:n])
+	off[0] = 0
+	return out, off
+}
+
+func (b *Builder) newNode(n Node) NodeID {
+	id := NodeID(b.nodes.n)
+	n.ID, n.Seq = id, int(id)
+	b.nodes.add(n)
+	if n.Stmt != ast.NoStmt {
+		m := b.memo(n.Stmt)
+		m.last[1], m.last[0] = m.last[0], int32(id)+1
+	}
+	return id
+}
+
+func (b *Builder) addEdge(kind EdgeKind, from, to NodeID, v int) {
+	b.edges.add(Edge{Kind: kind, From: from, To: to, Var: v})
+}
+
+// memo returns the statement's memo entry.
+func (b *Builder) memo(id ast.StmtID) *stmtMemo {
+	for int(id) >= len(b.stmts) {
+		b.stmts = append(b.stmts, stmtMemo{})
+	}
+	return &b.stmts[id]
+}
+
+// stmtLabel returns the statement's memo entry with its label, rendered
+// once per statement.
+func (b *Builder) stmtLabel(id ast.StmtID) *stmtMemo {
+	m := b.memo(id)
+	if !m.labelDone {
+		m.labelDone = true
+		m.label = "s?"
+		if st := b.art.Info.Prog.StmtByID(id); st != nil {
+			m.label, m.known = ast.StmtString(st), true
+			switch st.(type) {
+			case *ast.SemStmt, *ast.SendStmt, *ast.SpawnStmt:
+				m.pureSync = true
+			}
+		}
+	}
+	return m
+}
+
+func (b *Builder) top() *activation { return &b.acts[len(b.acts)-1] }
+
+// pushActivation enters a function instance, reusing the slot table of the
+// last activation popped at this depth.
+func (b *Builder) pushActivation(fnName string, numSlots int, callNode NodeID) *activation {
+	n := len(b.acts)
+	if n < cap(b.acts) {
+		b.acts = b.acts[:n+1]
+	} else {
+		b.acts = append(b.acts, activation{})
+	}
+	a := &b.acts[n]
+	lw := a.lastWrite[:0]
+	for i := 0; i < numSlots; i++ {
+		lw = append(lw, -1)
+	}
+	*a = activation{
+		numSlots:  numSlots,
+		fi:        b.art.Info.Funcs[fnName],
+		fpdg:      b.art.PDG.Funcs[fnName],
+		lastWrite: lw,
+		callNode:  callNode,
+	}
+	return a
+}
+
+// setDef records node n as the latest definition of v in act.
+func (b *Builder) setDef(act *activation, v int, n NodeID) {
+	if v >= act.numSlots {
+		b.lastWriteGlobal[v-act.numSlots] = n
+	} else {
+		act.lastWrite[v] = n
+	}
 }
 
 // defNodeFor returns (creating on demand) the node that defined var v as
@@ -264,135 +461,189 @@ func (b *gbuilder) run(buf *trace.Buffer, rootFn string) {
 // nodes: values that flowed in from the prelog (pre-interval state or
 // another process — the controller resolves those across the parallel
 // graph).
-func (b *gbuilder) defNodeFor(v int) NodeID {
+func (b *Builder) defNodeFor(v int) NodeID {
 	act := b.top()
 	if v >= act.numSlots { // global
 		gid := v - act.numSlots
-		if n, ok := b.lastWriteGlobal[gid]; ok {
+		if n := b.lastWriteGlobal[gid]; n >= 0 {
 			return n
 		}
 		name := b.art.Prog.Globals[gid].Name
-		n := b.g.newNode(&Node{
-			Kind: NodeInitial, Label: name + "@pre", Var: v,
-		})
-		b.lastWriteGlobal[gid] = n.ID
-		return n.ID
+		n := b.newNode(Node{Kind: NodeInitial, Label: name + "@pre", Var: v})
+		b.lastWriteGlobal[gid] = n
+		return n
 	}
-	if n, ok := act.lastWrite[v]; ok {
+	if n := act.lastWrite[v]; n >= 0 {
 		return n
 	}
 	// A local read before any traced write: a parameter (bound at entry)
 	// or prelog-restored loop local.
-	label := fmt.Sprintf("%s@pre", b.localName(act, v))
-	n := b.g.newNode(&Node{Kind: NodeInitial, Label: label, Var: v})
-	act.lastWrite[v] = n.ID
-	return n.ID
+	n := b.newNode(Node{Kind: NodeInitial, Label: localName(act, v) + "@pre", Var: v})
+	act.lastWrite[v] = n
+	return n
 }
 
-func (b *gbuilder) localName(act *activation, slot int) string {
-	fi := b.art.Info.Funcs[act.fnName]
-	if fi != nil && slot < len(fi.Locals) {
-		return fi.Locals[slot].Name
+func localName(act *activation, slot int) string {
+	if act.fi != nil && slot < len(act.fi.Locals) {
+		return act.fi.Locals[slot].Name
 	}
 	return fmt.Sprintf("slot%d", slot)
 }
 
-func (b *gbuilder) varName(act *activation, v int) string {
+func (b *Builder) varName(act *activation, v int) string {
 	if v < 0 {
 		return "?"
 	}
 	if v >= act.numSlots {
 		return b.art.Prog.Globals[v-act.numSlots].Name
 	}
-	return b.localName(act, v)
+	return localName(act, v)
+}
+
+// openNode adds a statement-instance node after the previous node in
+// execution order, with its flow edge and control edges.
+func (b *Builder) openNode(n Node) NodeID {
+	id := b.newNode(n)
+	b.addEdge(EdgeFlow, b.prevNode, id, -1)
+	b.prevNode = id
+	b.attachControl(id)
+	return id
+}
+
+// attachControl adds the control-dependence edge from the most recent
+// instance of each of the statement's static controlling predicates.
+func (b *Builder) attachControl(id NodeID) {
+	stmt := b.nodes.at(int(id)).Stmt
+	if stmt == ast.NoStmt {
+		return
+	}
+	for _, dep := range b.ctrlDeps(stmt) {
+		m := b.memo(dep)
+		src := NodeID(m.last[0]) - 1
+		if src == id {
+			src = NodeID(m.last[1]) - 1
+		}
+		if src >= 0 {
+			b.addEdge(EdgeControl, src, id, -1)
+		}
+	}
+}
+
+// ctrlDeps returns the statements of stmt's static controlling
+// predicates in the current activation's PDG, resolved once per statement.
+func (b *Builder) ctrlDeps(stmt ast.StmtID) []ast.StmtID {
+	m := b.memo(stmt)
+	if m.ctrlDone {
+		return m.ctrl
+	}
+	m.ctrlDone = true
+	fpdg := b.top().fpdg
+	if fpdg == nil {
+		return nil
+	}
+	cfgNode := fpdg.CFG.NodeFor(stmt)
+	if cfgNode < 0 {
+		return nil
+	}
+	start := len(b.ctrlArena)
+	for _, dep := range fpdg.CtrlDepsOf(cfgNode) {
+		if depStmt := fpdg.CFG.Nodes[dep].Stmt; depStmt != nil {
+			b.ctrlArena = append(b.ctrlArena, depStmt.ID())
+		}
+	}
+	m.ctrl = b.ctrlArena[start:len(b.ctrlArena):len(b.ctrlArena)]
+	return m.ctrl
 }
 
 // openStmt starts a node for a new statement instance, first flushing any
 // reads still pending on the previous one (statements without writes or
 // predicate outcomes — returns, prints, sends — keep their reads this way).
-func (b *gbuilder) openStmt(kind NodeKind, stmt ast.StmtID, label string) *Node {
-	if b.curStmtNode >= 0 && len(b.pendingDeps) > 0 {
+func (b *Builder) openStmt(stmt ast.StmtID, label string) {
+	if b.curStmtNode >= 0 && len(b.pending) > 0 {
 		b.flushDeps(b.curStmtNode)
 	}
-	n := b.g.newNode(&Node{Kind: kind, Stmt: stmt, Label: label, Var: -1})
-	b.g.addEdge(EdgeFlow, b.prevNode, n.ID, -1)
-	b.prevNode = n.ID
-	b.curStmtNode = n.ID
-	b.attachControl(n)
-	return n
+	b.curStmtNode = b.openNode(Node{Kind: NodeSingular, Stmt: stmt, Label: label, Var: -1})
 }
 
-// attachControl adds the control-dependence edge from the most recent
-// instance of the statement's static controlling predicate.
-func (b *gbuilder) attachControl(n *Node) {
-	if n.Stmt == ast.NoStmt {
+// addPending records a read of node's value, keeping the list in
+// ascending node order; a repeated node keeps the latest variable.
+func (b *Builder) addPending(node NodeID, v int) {
+	p := b.pending
+	i := len(p)
+	for i > 0 && p[i-1].node > node {
+		i--
+	}
+	if i > 0 && p[i-1].node == node {
+		p[i-1].v = v
 		return
 	}
-	act := b.top()
-	fpdg := b.art.PDG.Funcs[act.fnName]
-	if fpdg == nil {
-		return
+	p = append(p, pend{})
+	copy(p[i+1:], p[i:])
+	p[i] = pend{node, v}
+	b.pending = p
+}
+
+// takePending returns an empty pending list, reusing a retired array when
+// one is available.
+func (b *Builder) takePending() []pend {
+	if n := len(b.spare); n > 0 {
+		p := b.spare[n-1]
+		b.spare = b.spare[:n-1]
+		return p[:0]
 	}
-	cfgNode := fpdg.CFG.NodeFor(n.Stmt)
-	if cfgNode < 0 {
-		return
-	}
-	for _, dep := range fpdg.CtrlDepsOf(cfgNode) {
-		depStmt := fpdg.CFG.Nodes[dep].Stmt
-		if depStmt == nil {
-			continue
-		}
-		// Find the most recent instance of that predicate in this graph.
-		for i := len(b.g.Nodes) - 1; i >= 0; i-- {
-			cand := b.g.Nodes[i]
-			if cand.Stmt == depStmt.ID() && cand.ID != n.ID {
-				b.g.addEdge(EdgeControl, cand.ID, n.ID, -1)
-				break
-			}
-		}
+	return nil
+}
+
+// retire returns a pending list's array for reuse.
+func (b *Builder) retire(p []pend) {
+	if cap(p) > 0 {
+		b.spare = append(b.spare, p)
 	}
 }
 
-func (b *gbuilder) event(e *trace.Event) {
+// setResume arms the statement continuation, retiring any unused one.
+func (b *Builder) setResume(s callSave) {
+	if b.hasResume {
+		b.retire(b.resume.pending)
+	}
+	b.resume, b.hasResume = s, true
+}
+
+func (b *Builder) event(e *trace.Event) {
 	act := b.top()
 	switch e.Kind {
 	case trace.EvStmt:
-		if r := b.resume; r != nil {
-			b.resume = nil
-			if r.stmtNode >= 0 && b.g.Nodes[r.stmtNode].Stmt == e.Stmt {
+		if b.hasResume {
+			r := b.resume
+			b.hasResume = false
+			if r.stmtNode >= 0 && b.nodes.at(int(r.stmtNode)).Stmt == e.Stmt {
 				// Continuation of the statement instance that contained the
 				// just-returned call: keep its node and restored reads.
 				b.curStmtNode = r.stmtNode
-				b.pendingDeps = r.pending
+				b.retire(b.pending)
+				b.pending = r.pending
 				return
 			}
+			b.retire(r.pending)
 		}
-		label := "s?"
-		if st := b.art.Info.Prog.StmtByID(e.Stmt); st != nil {
-			label = ast.StmtString(st)
-		}
-		b.openStmt(NodeSingular, e.Stmt, label)
-		b.pendingDeps = make(map[NodeID]int)
+		b.openStmt(e.Stmt, b.stmtLabel(e.Stmt).label)
+		b.pending = b.pending[:0]
 
 	case trace.EvRead:
 		def := b.defNodeFor(e.Var)
 		if b.curStmtNode >= 0 {
-			b.pendingDeps[def] = e.Var
+			b.addPending(def, e.Var)
 		}
 
 	case trace.EvWrite:
 		if b.curStmtNode < 0 {
 			return
 		}
-		n := b.g.Nodes[b.curStmtNode]
+		n := b.nodes.at(int(b.curStmtNode))
 		if n.Kind == NodeSubGraph {
 			// A substituted interval's postlog values: the sub-graph node
 			// becomes the definition site of everything it wrote.
-			if e.Var >= act.numSlots {
-				b.lastWriteGlobal[e.Var-act.numSlots] = n.ID
-			} else {
-				act.lastWrite[e.Var] = n.ID
-			}
+			b.setDef(act, e.Var, n.ID)
 			return
 		}
 		n.Label = b.varName(act, e.Var)
@@ -400,51 +651,38 @@ func (b *gbuilder) event(e *trace.Event) {
 		n.HasValue = true
 		n.Var = e.Var
 		b.flushDeps(n.ID)
-		if e.Var >= act.numSlots {
-			b.lastWriteGlobal[e.Var-act.numSlots] = n.ID
-		} else {
-			act.lastWrite[e.Var] = n.ID
-		}
+		b.setDef(act, e.Var, n.ID)
 
 	case trace.EvPred:
 		if b.curStmtNode < 0 {
 			return
 		}
-		n := b.g.Nodes[b.curStmtNode]
+		n := b.nodes.at(int(b.curStmtNode))
 		n.Value = e.Value
 		n.HasValue = true
 		b.flushDeps(n.ID)
 
 	case trace.EvCallBegin:
 		callee := b.art.Prog.Funcs[e.FuncIdx]
-		sub := b.g.newNode(&Node{
-			Kind: NodeSubGraph, Stmt: e.Stmt, Label: callee.Name, Var: -1,
-		})
-		b.g.addEdge(EdgeFlow, b.prevNode, sub.ID, -1)
-		b.prevNode = sub.ID
-		b.attachControl(b.g.Nodes[sub.ID])
-		newAct := &activation{
-			fnIdx:     e.FuncIdx,
-			fnName:    callee.Name,
-			numSlots:  callee.NumSlots,
-			lastWrite: make(map[int]NodeID),
-			callNode:  sub.ID,
-		}
-		remaining := b.bindParams(e, sub, func(i int, pn NodeID) {
-			if i < len(callee.ParamSlots) {
-				newAct.lastWrite[callee.ParamSlots[i]] = pn
-			}
-		})
+		sub := b.openNode(Node{Kind: NodeSubGraph, Stmt: e.Stmt, Label: callee.Name, Var: -1})
+		remaining := b.bindParams(e, sub)
 		b.callSaves = append(b.callSaves, callSave{stmtNode: b.curStmtNode, pending: remaining})
-		b.pendingDeps = make(map[NodeID]int)
-		b.acts = append(b.acts, newAct)
+		b.pending = b.takePending()
+		// bindParams created %1..%n right after the sub-graph node; they
+		// define the callee's parameter slots.
+		newAct := b.pushActivation(callee.Name, callee.NumSlots, sub)
+		for i := range e.Args {
+			if i < len(callee.ParamSlots) {
+				newAct.lastWrite[callee.ParamSlots[i]] = sub + 1 + NodeID(i)
+			}
+		}
 		b.curStmtNode = -1
 
 	case trace.EvCallEnd:
 		finished := b.acts[len(b.acts)-1]
 		b.acts = b.acts[:len(b.acts)-1]
 		if finished.callNode >= 0 {
-			sub := b.g.Nodes[finished.callNode]
+			sub := b.nodes.at(int(finished.callNode))
 			if e.HasValue {
 				sub.Value = e.Value
 				sub.HasValue = true
@@ -452,15 +690,15 @@ func (b *gbuilder) event(e *trace.Event) {
 			// Resume the caller's statement instance: the call's result
 			// (%0) feeds whatever consumes it, alongside the reads that
 			// preceded the call.
-			save := callSave{stmtNode: -1, pending: map[NodeID]int{}}
+			save := callSave{stmtNode: -1, pending: b.takePending()}
 			if n := len(b.callSaves); n > 0 {
 				save = b.callSaves[n-1]
 				b.callSaves = b.callSaves[:n-1]
 			}
-			save.pending[sub.ID] = -1
-			b.resume = &save
+			save.pending = append(save.pending, pend{sub.ID, -1})
+			b.setResume(save)
 			b.curStmtNode = -1
-			b.pendingDeps = map[NodeID]int{sub.ID: -1}
+			b.pending = append(b.pending[:0], pend{sub.ID, -1})
 			b.prevNode = sub.ID
 		}
 
@@ -469,66 +707,56 @@ func (b *gbuilder) event(e *trace.Event) {
 		if e.FuncIdx >= 0 {
 			label = b.art.Prog.Funcs[e.FuncIdx].Name
 		}
-		sub := b.g.newNode(&Node{
+		sub := b.openNode(Node{
 			Kind: NodeSubGraph, Stmt: e.Stmt, Label: label,
 			Value: e.Value, HasValue: e.HasValue, Var: -1,
 		})
-		b.g.addEdge(EdgeFlow, b.prevNode, sub.ID, -1)
-		b.prevNode = sub.ID
-		b.attachControl(b.g.Nodes[sub.ID])
-		remaining := b.bindParams(e, sub, nil)
-		remaining[sub.ID] = -1
-		b.resume = &callSave{stmtNode: b.curStmtNode, pending: remaining}
-		b.pendingDeps = map[NodeID]int{sub.ID: -1}
+		remaining := b.bindParams(e, sub)
+		remaining = append(remaining, pend{sub, -1})
+		b.setResume(callSave{stmtNode: b.curStmtNode, pending: remaining})
+		b.pending = append(b.takePending(), pend{sub, -1})
 		// The substituted postlog's EvWrite events follow; route them
 		// through the sub-graph node by making it current.
-		b.curStmtNode = sub.ID
+		b.curStmtNode = sub
 
 	case trace.EvSync:
-		st := b.art.Info.Prog.StmtByID(e.Stmt)
+		m := b.stmtLabel(e.Stmt)
 		stLabel := e.Op.String()
-		if st != nil {
-			stLabel = ast.StmtString(st)
+		if m.known {
+			stLabel = m.label
 		}
 		// Pure synchronization statements (P, V, send, spawn) become a
 		// single sync node: convert the statement's open singular node
 		// rather than adding a second one.
-		pureSync := false
-		switch st.(type) {
-		case *ast.SemStmt, *ast.SendStmt, *ast.SpawnStmt:
-			pureSync = true
-		}
-		if pureSync && b.curStmtNode >= 0 && b.g.Nodes[b.curStmtNode].Stmt == e.Stmt {
-			n := b.g.Nodes[b.curStmtNode]
+		if m.pureSync && b.curStmtNode >= 0 && b.nodes.at(int(b.curStmtNode)).Stmt == e.Stmt {
+			n := b.nodes.at(int(b.curStmtNode))
 			n.Kind = NodeSync
 			b.flushDeps(n.ID) // send values / spawn arguments feed the event
 			b.curStmtNode = -1
 			return
 		}
-		n := b.g.newNode(&Node{Kind: NodeSync, Stmt: e.Stmt, Label: stLabel, Var: -1})
-		b.g.addEdge(EdgeFlow, b.prevNode, n.ID, -1)
-		b.prevNode = n.ID
-		b.attachControl(b.g.Nodes[n.ID])
+		n := b.openNode(Node{Kind: NodeSync, Stmt: e.Stmt, Label: stLabel, Var: -1})
 		if e.Op == logging.OpRecv {
 			// The received value flows into whatever consumes it; the
 			// enclosing statement (var v = recv(c)) stays current so its
 			// store lands on its own node.
-			b.pendingDeps[n.ID] = -1
+			b.addPending(n, -1)
 		}
 
 	case trace.EvEnd:
-		// handled by run's EXIT node
+		// handled by Graph's EXIT node
 	}
 }
 
-func (b *gbuilder) flushDeps(to NodeID) {
-	for dep, v := range b.pendingDeps {
-		if dep == to {
-			continue
+// flushDeps turns the pending reads into data edges into to, in ascending
+// source-node order, and clears them.
+func (b *Builder) flushDeps(to NodeID) {
+	for _, p := range b.pending {
+		if p.node != to {
+			b.addEdge(EdgeData, p.node, to, p.v)
 		}
-		b.g.addEdge(EdgeData, dep, to, v)
 	}
-	b.pendingDeps = make(map[NodeID]int)
+	b.pending = b.pending[:0]
 }
 
 // String renders the graph compactly for golden tests: one line per node
@@ -545,7 +773,7 @@ func (g *Graph) String() string {
 			fmt.Fprintf(&sb, "=%d", n.Value)
 		}
 		var deps []string
-		for _, e := range g.incoming[n.ID] {
+		for _, e := range g.Incoming(n.ID) {
 			if e.Kind == EdgeFlow {
 				continue
 			}
@@ -559,71 +787,82 @@ func (g *Graph) String() string {
 	return sb.String()
 }
 
+// paramLabels are the %1..%n labels of the common arities.
+var paramLabels = func() []string {
+	out := make([]string, 16)
+	for i := range out {
+		out[i] = fmt.Sprintf("%%%d", i+1)
+	}
+	return out
+}()
+
+func paramLabel(i int) string {
+	if i < len(paramLabels) {
+		return paramLabels[i]
+	}
+	return fmt.Sprintf("%%%d", i+1)
+}
+
 // bindParams creates the %1..%n parameter nodes of a call, attaching to
 // each the pending reads that statically belong to that argument's
 // expression (Fig 4.1's fictional nodes for expression arguments). It
-// returns the pending reads no argument consumed, and invokes bound for
-// each created node so callees can map them to parameter slots.
-func (b *gbuilder) bindParams(e *trace.Event, sub *Node, bound func(i int, pn NodeID)) map[NodeID]int {
-	argVars := b.argVars(b.top().fnName, e.Stmt, e.FuncIdx)
-	consumed := make(map[NodeID]bool)
+// returns the pending reads no argument consumed, filtered in place: the
+// caller hands b.pending's array to the result and takes a fresh one.
+func (b *Builder) bindParams(e *trace.Event, sub NodeID) []pend {
+	argVars := b.argVars(e.Stmt, e.FuncIdx)
+	consumed := b.consumed[:0]
+	for range b.pending {
+		consumed = append(consumed, false)
+	}
 	for i, argv := range e.Args {
-		pn := b.g.newNode(&Node{
+		pn := b.newNode(Node{
 			Kind: NodeParam, Stmt: e.Stmt,
-			Label: fmt.Sprintf("%%%d", i+1), Value: argv, HasValue: true, Var: -1,
+			Label: paramLabel(i), Value: argv, HasValue: true, Var: -1,
 		})
-		for dep, v := range b.pendingDeps {
-			attach := false
+		for j, p := range b.pending {
+			attach := true // no static info: attach conservatively
 			switch {
-			case v == -1:
+			case p.v == -1:
 				// A nested call's or recv's result: it fed some argument;
 				// without finer structure, attach to every parameter node.
-				attach = true
 			case i < len(argVars):
-				for _, av := range argVars[i] {
-					if av == v {
-						attach = true
-						break
-					}
-				}
-			default:
-				attach = true // no static info: attach conservatively
+				attach = slices.Contains(argVars[i], p.v)
 			}
 			if attach {
-				b.g.addEdge(EdgeData, dep, pn.ID, v)
-				consumed[dep] = true
+				b.addEdge(EdgeData, p.node, pn, p.v)
+				consumed[j] = true
 			}
 		}
-		b.g.addEdge(EdgeData, pn.ID, sub.ID, -1)
-		if bound != nil {
-			bound(i, pn.ID)
+		b.addEdge(EdgeData, pn, sub, -1)
+	}
+	remaining := b.pending[:0]
+	for j, p := range b.pending {
+		if !consumed[j] {
+			remaining = append(remaining, p)
 		}
 	}
-	remaining := make(map[NodeID]int)
-	for dep, v := range b.pendingDeps {
-		if !consumed[dep] {
-			remaining[dep] = v
-		}
-	}
+	b.consumed = consumed
 	return remaining
 }
 
 // argVars resolves, per argument position, the variable space indices the
-// argument expression reads, using the AST (cached per call site).
-func (b *gbuilder) argVars(fnName string, stmt ast.StmtID, calleeIdx int) [][]int {
+// argument expression reads, using the AST (cached per call site). A call
+// site's statement belongs to exactly one function, the current
+// activation's.
+func (b *Builder) argVars(stmt ast.StmtID, calleeIdx int) [][]int {
 	if b.argVarsCache == nil {
 		b.argVarsCache = make(map[argVarsKey][][]int)
 	}
-	key := argVarsKey{fn: fnName, stmt: stmt, callee: calleeIdx}
+	key := argVarsKey{stmt: stmt, callee: calleeIdx}
 	if v, ok := b.argVarsCache[key]; ok {
 		return v
 	}
 	var out [][]int
 	st := b.art.Info.Prog.StmtByID(stmt)
-	fi := b.art.Info.Funcs[fnName]
-	if st != nil && fi != nil && calleeIdx >= 0 && calleeIdx < len(b.art.Prog.Funcs) {
+	act := b.top()
+	if st != nil && act.fi != nil && calleeIdx >= 0 && calleeIdx < len(b.art.Prog.Funcs) {
 		calleeName := b.art.Prog.Funcs[calleeIdx].Name
-		space := b.art.PDG.Funcs[fnName].Space
+		space := act.fpdg.Space
 		var call *ast.CallExpr
 		ast.Inspect(st, func(n ast.Node) bool {
 			if call != nil {

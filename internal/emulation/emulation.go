@@ -34,6 +34,8 @@ import (
 
 // Result is the outcome of emulating one e-block instance.
 type Result struct {
+	// Trace is the interval's event stream; nil when it was streamed to a
+	// consumer (EmulateTo) instead of stored.
 	Trace *trace.Buffer
 	// Globals is the global state at the end of the emulated interval.
 	Globals []vm.Value
@@ -164,16 +166,43 @@ func (e *Emulator) Emulate(prelogIdx int) (*Result, error) {
 // Validation errors are returned; reproduced runtime failures land in
 // res.Err exactly as in Emulate.
 func (e *Emulator) EmulateInto(prelogIdx int, res *Result) error {
+	return e.EmulateTo(prelogIdx, res, nil)
+}
+
+// IntervalFunc returns the function whose e-block instance starts at
+// prelogIdx, or the error Emulate would return for the index.
+func (e *Emulator) IntervalFunc(prelogIdx int) (*bytecode.Func, error) {
+	pre, err := e.prelog(prelogIdx)
+	if err != nil {
+		return nil, err
+	}
+	return e.Prog.Funcs[e.Prog.Blocks[pre.Block].FuncIdx], nil
+}
+
+// prelog returns the prelog record at prelogIdx, validating the index.
+func (e *Emulator) prelog(prelogIdx int) (*logging.Record, error) {
 	if prelogIdx < 0 || prelogIdx >= len(e.Book.Records) {
-		return fmt.Errorf("emulation: prelog index %d out of range", prelogIdx)
+		return nil, fmt.Errorf("emulation: prelog index %d out of range", prelogIdx)
 	}
 	pre := e.Book.Records[prelogIdx]
 	if pre.Kind != logging.RecPrelog {
-		return fmt.Errorf("emulation: record %d is %s, not a prelog", prelogIdx, pre.Kind)
+		return nil, fmt.Errorf("emulation: record %d is %s, not a prelog", prelogIdx, pre.Kind)
+	}
+	return pre, nil
+}
+
+// EmulateTo is EmulateInto streaming its trace: every event goes to sink
+// as it is produced and none is stored, so res.Trace is left nil. The
+// controller streams each interval into the dynamic-graph builder this
+// way. A nil sink stores the trace, as EmulateInto does.
+func (e *Emulator) EmulateTo(prelogIdx int, res *Result, sink trace.Consumer) error {
+	pre, err := e.prelog(prelogIdx)
+	if err != nil {
+		return err
 	}
 	e.runs.Add(1)
 	if e.Generic {
-		return e.emulateGeneric(prelogIdx, pre, res)
+		return e.emulateGeneric(prelogIdx, pre, res, sink)
 	}
 	meta := e.Prog.Blocks[pre.Block]
 	fn := e.Prog.Funcs[meta.FuncIdx]
@@ -220,7 +249,11 @@ func (e *Emulator) EmulateInto(prelogIdx int, res *Result) error {
 		startPC = fn.PrelogPCAt(int(pre.Block)) + 1
 	}
 	tb := res.Trace
-	if tb == nil {
+	switch {
+	case sink != nil:
+		tb = &ctx.tbuf
+		tb.Sink = sink
+	case tb == nil:
 		tb = &trace.Buffer{}
 	}
 	tb.Reset(0)
@@ -236,6 +269,10 @@ func (e *Emulator) EmulateInto(prelogIdx int, res *Result) error {
 	e.pool.note(machine.EmuDispatchStats())
 
 	res.Trace = proc.Tbuf
+	if sink != nil {
+		tb.Sink = nil
+		res.Trace = nil
+	}
 	res.Globals = machine.SnapshotInto(res.Globals)
 	res.RecordsConsumed = ctx.h.cursor - prelogIdx
 	res.Completed = ctx.h.sawRootPostlog
@@ -249,7 +286,7 @@ func (e *Emulator) EmulateInto(prelogIdx int, res *Result) error {
 
 // emulateGeneric is the original Emulate body, kept as the oracle: a fresh
 // VM per call, generic single-step dispatch, no pooled state anywhere.
-func (e *Emulator) emulateGeneric(prelogIdx int, pre *logging.Record, res *Result) error {
+func (e *Emulator) emulateGeneric(prelogIdx int, pre *logging.Record, res *Result, sink trace.Consumer) error {
 	meta := e.Prog.Blocks[pre.Block]
 	fn := e.Prog.Funcs[meta.FuncIdx]
 
@@ -274,6 +311,7 @@ func (e *Emulator) emulateGeneric(prelogIdx int, pre *logging.Record, res *Resul
 		startPC = fn.PrelogPCAt(int(pre.Block)) + 1
 	}
 	proc := machine.StartEmuProc(fn, slots, startPC)
+	proc.Tbuf.Sink = sink
 
 	// Used globals from the prelog.
 	for gid, val := range pre.Globals.All() {
@@ -282,6 +320,9 @@ func (e *Emulator) emulateGeneric(prelogIdx int, pre *logging.Record, res *Resul
 
 	runErr := machine.RunEmu(proc)
 	res.Trace = proc.Tbuf
+	if sink != nil {
+		res.Trace = nil
+	}
 	res.Globals = machine.Snapshot()
 	res.RecordsConsumed = h.cursor - prelogIdx
 	res.Completed = h.sawRootPostlog
@@ -528,12 +569,9 @@ func (h *hooks) OnPostlog(p *vm.Proc, blockID int, hasRet bool) (bool, error) {
 // the log. This is the §5.7 what-if mode — changes to the prelog propagate
 // through the whole interval instead of being overwritten by logged values.
 func (e *Emulator) EmulateFresh(prelogIdx int) (*Result, error) {
-	if prelogIdx < 0 || prelogIdx >= len(e.Book.Records) {
-		return nil, fmt.Errorf("emulation: prelog index %d out of range", prelogIdx)
-	}
-	pre := e.Book.Records[prelogIdx]
-	if pre.Kind != logging.RecPrelog {
-		return nil, fmt.Errorf("emulation: record %d is %s, not a prelog", prelogIdx, pre.Kind)
+	pre, err := e.prelog(prelogIdx)
+	if err != nil {
+		return nil, err
 	}
 	e.runs.Add(1)
 	meta := e.Prog.Blocks[pre.Block]

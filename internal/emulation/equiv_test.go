@@ -11,6 +11,7 @@ import (
 	"ppd/internal/logging"
 	"ppd/internal/mplgen"
 	"ppd/internal/obs"
+	"ppd/internal/trace"
 	"ppd/internal/vm"
 	"ppd/internal/workloads"
 )
@@ -319,5 +320,50 @@ func TestEmulateConcurrentWidths(t *testing.T) {
 			close(ch)
 			wg.Wait()
 		})
+	}
+}
+
+// recorder is a trace.Consumer that stores what it is handed.
+type recorder struct{ buf trace.Buffer }
+
+func (r *recorder) Consume(e trace.Event) { r.buf.Events = append(r.buf.Events, e) }
+
+// TestEmulateToStreamsTrace checks that a streamed emulation hands its
+// consumer exactly the events a stored one records, on the pooled and the
+// generic path, stores none itself, and leaves the result's other fields
+// unchanged.
+func TestEmulateToStreamsTrace(t *testing.T) {
+	for _, tc := range []int{0, 2, 4} { // matmul, prodcons, tokenring
+		c := equivCases()[tc]
+		art, err := compile.CompileSource(c.wl.Name, c.wl.Src, c.cfg)
+		if err != nil {
+			t.Fatalf("compile: %v", err)
+		}
+		v := vm.New(art.Prog, vm.Options{Mode: vm.ModeLog, Seed: c.seed, Quantum: c.quantum})
+		_ = v.Run()
+		for pid, book := range v.Log.Books {
+			for _, generic := range []bool{false, true} {
+				em := New(art.Prog, book)
+				em.Generic = generic
+				res := &Result{}
+				for _, idx := range prelogIdxs(book, 8) {
+					want, err := em.Emulate(idx)
+					if err != nil {
+						t.Fatalf("P%d idx %d: %v", pid+1, idx, err)
+					}
+					var rec recorder
+					if err := em.EmulateTo(idx, res, &rec); err != nil {
+						t.Fatalf("P%d idx %d: stream: %v", pid+1, idx, err)
+					}
+					where := fmt.Sprintf("%s P%d idx %d generic=%t", c.name, pid+1, idx, generic)
+					if res.Trace != nil {
+						t.Fatalf("%s: streamed emulation stored a trace", where)
+					}
+					res.Trace = &rec.buf
+					diffResults(t, where, res, want)
+					res.Trace = nil
+				}
+			}
+		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 
 	"ppd/internal/bytecode"
 	"ppd/internal/obs"
+	"ppd/internal/trace"
 	"ppd/internal/vm"
 )
 
@@ -24,6 +25,8 @@ type Context struct {
 	h       hooks
 	slots   []vm.Value
 	cover   []bool
+	// tbuf carries a streaming emulation's Sink; it never stores events.
+	tbuf trace.Buffer
 }
 
 // Pool hands out replay contexts for one program. It is bounded: at most

@@ -7,7 +7,8 @@
 // A trace is per-process and statement-structured: each executed statement
 // instance opens with EvStmt, followed by the reads, writes, predicate
 // outcomes, and call boundaries it produced. The dynamic-graph builder in
-// package dynpdg consumes exactly this stream.
+// package dynpdg consumes exactly this stream, either from a stored Buffer
+// or event by event through a Buffer's Sink.
 package trace
 
 import (
@@ -75,14 +76,30 @@ type Event struct {
 	Obj int            // EvSync: GlobalID of sem/chan
 }
 
+// Consumer receives trace events one at a time, in production order.
+type Consumer interface {
+	Consume(Event)
+}
+
 // Buffer accumulates events for one process (or one emulated interval).
 type Buffer struct {
 	PID    int
 	Events []Event
+
+	// Sink, when set, receives every appended event in place of Events:
+	// an emulation streams its events into a consumer (the dynamic-graph
+	// builder) and stores none. Full-trace mode leaves it nil.
+	Sink Consumer
 }
 
-// Append adds an event.
-func (b *Buffer) Append(e Event) { b.Events = append(b.Events, e) }
+// Append adds an event, or hands it to Sink when one is set.
+func (b *Buffer) Append(e Event) {
+	if b.Sink != nil {
+		b.Sink.Consume(e)
+		return
+	}
+	b.Events = append(b.Events, e)
+}
 
 // Reset empties the buffer for reuse (keeping its capacity) and re-tags
 // the PID — the pooled replay context recycles one buffer per emulation.
