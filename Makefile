@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fmt check cover ci bench bench-smoke examples-smoke pardebug obsoverhead execlog vet-mpl vetprune compilecache cache-check fusion-check absint-check dispatch serve serve-smoke stream stream-smoke emu-check debug
+.PHONY: all build test race vet fmt check cover ci bench bench-smoke examples-smoke log-check pardebug obsoverhead execlog vet-mpl vetprune compilecache cache-check fusion-check absint-check dispatch serve serve-smoke stream stream-smoke emu-check debug
 
 all: build
 
@@ -74,8 +74,18 @@ vet-mpl: build
 	fi
 	@echo "vet-mpl: OK"
 
-ci: check cover bench-smoke examples-smoke vet-mpl absint-check cache-check serve-smoke stream-smoke emu-check
+ci: check cover bench-smoke examples-smoke log-check vet-mpl absint-check cache-check serve-smoke stream-smoke emu-check
 	@echo "ci: OK"
+
+# Logging gate, without the race detector (it inflates allocation counts):
+# a logged run's allocations over the bare run stay within budget, arena
+# carves have cap == len and streamed edge sets stay bounded, the logs stay
+# byte-identical to the goldens (retained, streamed, fused and unfused),
+# and the codec round-trips.
+log-check:
+	$(GO) test -run 'TestLoggedRunAllocBudget|TestLogSlicesExactCap|TestStreamedEdgeSetsBounded|TestLogGoldenByteIdentical|TestStreamedLogByteIdentical|TestLogGoldenFusedVsUnfused' ./internal/vm/
+	$(GO) test -run 'TestCodec|TestStats|TestArenaChunksDouble|TestTakeExactCap' ./internal/logging/
+	@echo "log-check: OK"
 
 # Every example program must run to a zero exit: they drive the public
 # packages end to end and otherwise rot unnoticed.

@@ -56,16 +56,19 @@ func benchOverhead(b *testing.B, w *workloads.Workload) {
 	bare := mustCompileBare(b, w)
 	inst := mustCompile(b, w, eblock.DefaultConfig())
 	b.Run("bare", func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			runVM(b, bare, vm.ModeRun)
 		}
 	})
 	b.Run("logged", func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			runVM(b, inst, vm.ModeLog)
 		}
 	})
 	b.Run("fulltrace", func(b *testing.B) {
+		b.ReportAllocs()
 		for i := 0; i < b.N; i++ {
 			runVM(b, inst, vm.ModeFullTrace)
 		}
@@ -76,6 +79,11 @@ func BenchmarkOverheadMatmul(b *testing.B)    { benchOverhead(b, workloads.Matmu
 func BenchmarkOverheadProdCons(b *testing.B)  { benchOverhead(b, workloads.ProdCons(600)) }
 func BenchmarkOverheadTokenRing(b *testing.B) { benchOverhead(b, workloads.TokenRing(4, 100)) }
 func BenchmarkOverheadDivide(b *testing.B)    { benchOverhead(b, workloads.Divide(11)) }
+
+// Short sync-heavy runs, the size the end-to-end benchmark's triage draws:
+// here a per-process fixed logging cost would outweigh the per-record one.
+func BenchmarkOverheadRelay(b *testing.B)      { benchOverhead(b, workloads.Relay(3, 15)) }
+func BenchmarkOverheadRacyTicker(b *testing.B) { benchOverhead(b, workloads.RacyTicker(2, 5)) }
 
 // --- E15: execution hot path — ModeLog overhead over ModeRun ---------------
 

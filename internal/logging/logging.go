@@ -246,13 +246,38 @@ func (r *Record) reset() {
 	*r = Record{Locals: locals, Globals: globals, Reads: reads, Writes: writes}
 }
 
-// Arena chunk sizes: records and pair bindings are carved from fixed-cap
-// chunks so pointers into them stay valid for the log's lifetime (a chunk
-// is never grown, only replaced when full).
+// Arena chunk sizes. Records, and the elements of pair bindings and edge
+// sets, are carved from chunks that start small and double with each
+// replacement up to a cap, so a process that logs little allocates little
+// and a long run settles at the cap. A chunk is never grown, only replaced
+// when full, so pointers into it stay valid for the log's lifetime.
 const (
-	recordChunk = 128
-	pairChunk   = 512
+	recordChunkMin, recordChunkMax = 4, 128
+	sliceChunkMin, sliceChunkMax   = 8, 512
 )
+
+// nextChunk is the capacity of the chunk replacing one of capacity last:
+// double it within [lo, hi], but never less than need.
+func nextChunk(last, need, lo, hi int) int {
+	return max(need, min(max(2*last, lo), hi))
+}
+
+// take returns an empty slice with capacity for n elements: old when it is
+// large enough (recycled records), otherwise a carve of exactly n from the
+// arena chunk *a, which is replaced when fewer than n slots remain. A carve
+// has cap == n, so an append beyond n reallocates instead of writing into
+// the next carve.
+func take[T any](old []T, a *[]T, n int) []T {
+	if cap(old) >= n {
+		return old[:0]
+	}
+	if cap(*a)-len(*a) < n {
+		*a = make([]T, 0, nextChunk(cap(*a), n, sliceChunkMin, sliceChunkMax))
+	}
+	off := len(*a)
+	*a = (*a)[:off+n]
+	return (*a)[off : off : off+n]
+}
 
 // Book is one process's log, in generation order.
 type Book struct {
@@ -260,11 +285,12 @@ type Book struct {
 	Records []*Record
 
 	// arena is the current fixed-capacity allocation chunk for records;
-	// pairArena is the same for Pairs backing storage. Both exist so the
-	// execution phase performs one allocation per chunk instead of one (or
-	// more) per e-block boundary.
+	// pairArena and intArena are the same for Pairs and Reads/Writes
+	// backing storage. They exist so the execution phase performs one
+	// allocation per chunk instead of one (or more) per record.
 	arena     []Record
 	pairArena []VarVal
+	intArena  []int
 
 	// Streaming state: when stream is non-nil, Append encodes the record
 	// into the per-book buffer immediately and recycles it via free, so a
@@ -298,32 +324,18 @@ func (b *Book) NewRecord() *Record {
 		return r
 	}
 	if len(b.arena) == cap(b.arena) {
-		b.arena = make([]Record, 0, recordChunk)
+		b.arena = make([]Record, 0, nextChunk(cap(b.arena), 1, recordChunkMin, recordChunkMax))
 	}
 	b.arena = b.arena[:len(b.arena)+1]
 	return &b.arena[len(b.arena)-1]
 }
 
-// TakePairs returns an empty Pairs with capacity for exactly n bindings:
-// the caller's previous slice when it is large enough (recycled records),
-// otherwise a carve from the pair arena. The capacity cap means an append
-// beyond n falls back to a normal heap grow rather than corrupting the
-// arena.
-func (b *Book) TakePairs(old Pairs, n int) Pairs {
-	if cap(old) >= n {
-		return old[:0]
-	}
-	if cap(b.pairArena)-len(b.pairArena) < n {
-		c := pairChunk
-		if n > c {
-			c = n
-		}
-		b.pairArena = make([]VarVal, 0, c)
-	}
-	off := len(b.pairArena)
-	b.pairArena = b.pairArena[:off+n]
-	return Pairs(b.pairArena[off : off : off+n])
-}
+// TakePairs returns an empty Pairs with capacity for n bindings, reusing
+// old or carving from the book's pair arena (see take).
+func (b *Book) TakePairs(old Pairs, n int) Pairs { return take(old, &b.pairArena, n) }
+
+// TakeInts is TakePairs for a record's Reads/Writes edge sets.
+func (b *Book) TakeInts(old []int, n int) []int { return take(old, &b.intArena, n) }
 
 // Append adds a record. Under a streaming sink the record is encoded and
 // recycled instead of retained. The tap, when set, sees the record first —

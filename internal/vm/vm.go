@@ -673,11 +673,12 @@ func (v *VM) finish(p *Proc) {
 }
 
 // fillEdgeSets moves the current internal edge's shared read/write sets
-// into rec (reusing the record's slice capacity when it was recycled) and
-// resets them.
+// into rec and resets them. The slices come from the book's edge-set arena,
+// or the record's own capacity when it was recycled: no heap allocation of
+// their own.
 func (p *Proc) fillEdgeSets(rec *logging.Record) {
-	rec.Reads = p.reads.AppendTo(rec.Reads)
-	rec.Writes = p.writes.AppendTo(rec.Writes)
+	rec.Reads = p.reads.AppendTo(p.Book.TakeInts(rec.Reads, p.reads.Count()))
+	rec.Writes = p.writes.AppendTo(p.Book.TakeInts(rec.Writes, p.writes.Count()))
 	p.reads.Clear()
 	p.writes.Clear()
 }
