@@ -40,10 +40,12 @@ fusion-check:
 	$(GO) test -run TestFusionTableFresh ./internal/vm/
 	@echo "fusion-check: OK"
 
-# Abstract-interpretation gate: the engine's own unit suite, the fuzz
-# targets' seed corpora, the vet golden matrix (which pins the four
-# absint-backed passes), the lockset-pruning equivalence tests, and the
-# certificate-widened fused-vs-unfused byte-identity checks.
+# Abstract-interpretation gate: the engine's own unit suite (with
+# TestAnalyzeMemoMatchesOracle, the memoized engine against the
+# analyze-every-round oracle), the fuzz targets' seed corpora, the vet
+# golden matrix (which pins the four absint-backed passes), the
+# lockset-pruning equivalence tests, and the certificate-widened
+# fused-vs-unfused byte-identity checks.
 absint-check:
 	$(GO) test ./internal/analysis/absint/
 	$(GO) test -run 'TestVetGolden|TestVetAcceptance' ./internal/analysis/
@@ -172,10 +174,15 @@ dispatch: build
 
 # Cache correctness gate: a warm cached compile must be observationally
 # identical to a fresh one (execution log bytes, program output, vet
-# diagnostics, race reports), the parallel pipeline byte-identical to the
-# sequential one, and the codec a lossless fixed point.
+# diagnostics, race reports), answer every debugging-phase question from
+# its persisted statement table without hydrating (in process and over
+# HTTP), build flowback graphs equal to the reference builder's, the
+# parallel pipeline byte-identical to the sequential one, and the codec a
+# lossless fixed point that turns forged tables into clean misses.
 cache-check:
-	$(GO) test -run 'TestCacheColdWarmIdentical|TestCacheWarmDebugging|TestCacheEnvVar' .
-	$(GO) test -run 'TestParallelByteIdentical|TestCompileCachedColdWarm' ./internal/compile/
-	$(GO) test -run 'TestCodec|TestCache' ./internal/progdb/
+	$(GO) test -run 'TestCacheColdWarmIdentical|TestCacheWarmDebugging|TestCacheEnvVar|TestQuestionsNeverHydrate' .
+	$(GO) test -run 'TestSessionQuestionsNeverHydrate' ./internal/server/
+	$(GO) test -run 'TestBuilderMatchesReference' ./internal/dynpdg/
+	$(GO) test -run 'TestParallelByteIdentical|TestCompileCachedColdWarm|TestCachedStmtTableMatchesFresh' ./internal/compile/
+	$(GO) test -run 'TestCodec|TestCache|TestTableCodec|FuzzArtifactsDecode' ./internal/progdb/
 	@echo "cache-check: OK"

@@ -155,7 +155,32 @@ type engine struct {
 	// iterated to an interprocedural fixpoint (parameters stay ⊤).
 	ret map[string]Val
 
+	// memo keeps, per function (FuncList order), its last analysis. While
+	// recording, reads collects the callee return values the analysis in
+	// progress reads.
+	memo      []funcMemo
+	reads     []retRead
+	recording bool
+	analyses  int // analyzeFunc runs, for the memo's tests
+
 	facts *Facts
+}
+
+// funcMemo is one function's last analysis: its node states, its return
+// value, and every callee return value the two read. With rec == nil an
+// analysis depends on nothing else that changes between rounds, so while
+// those callee values are unchanged a rerun would reproduce it exactly.
+type funcMemo struct {
+	states []env
+	ret    Val
+	reads  []retRead
+	done   bool
+}
+
+// retRead is one read of a callee's return value.
+type retRead struct {
+	callee string
+	val    Val
 }
 
 // Analyze runs the abstract interpreter over the whole program and
@@ -163,11 +188,23 @@ type engine struct {
 // in FuncList order, nodes in CFG id order, and every fixpoint uses a
 // fixed reverse-postorder schedule.
 func Analyze(p *pdg.Program) *Facts {
-	e := &engine{
+	return newEngine(p).run()
+}
+
+func newEngine(p *pdg.Program) *engine {
+	return &engine{
 		p:    p,
 		info: p.Info,
 		ret:  make(map[string]Val, len(p.Info.FuncList)),
+		memo: make([]funcMemo, len(p.Info.FuncList)),
 	}
+}
+
+// run analyzes each function again only when a callee return value its
+// last analysis read has changed, and hands the recording pass the kept
+// states.
+func (e *engine) run() *Facts {
+	p := e.p
 	for _, fi := range p.Info.FuncList {
 		e.ret[fi.Name()] = Bottom()
 	}
@@ -180,13 +217,12 @@ func Analyze(p *pdg.Program) *Facts {
 	stable := false
 	for round := 0; round < maxRounds && !stable; round++ {
 		stable = true
-		for _, fi := range p.Info.FuncList {
+		for i, fi := range p.Info.FuncList {
 			fp := p.Funcs[fi.Name()]
 			if fp == nil {
 				continue
 			}
-			states := e.analyzeFunc(fp)
-			nv := e.returnVal(fp, states)
+			nv := e.analyzed(i, fp).ret
 			old := e.ret[fi.Name()]
 			merged := Join(old, nv)
 			if round >= 3 {
@@ -209,15 +245,40 @@ func Analyze(p *pdg.Program) *Facts {
 		IdxSafe: make(map[ast.StmtID]bool),
 	}
 	e.facts = facts
-	for _, fi := range p.Info.FuncList {
+	for i, fi := range p.Info.FuncList {
 		fp := p.Funcs[fi.Name()]
 		if fp == nil {
 			continue
 		}
-		e.record(fp, e.analyzeFunc(fp))
+		e.record(fp, e.analyzed(i, fp).states)
 	}
 	e.locksets()
 	return facts
+}
+
+// analyzed returns function i's analysis under the current return values,
+// rerunning it only when a callee value it read has changed since.
+func (e *engine) analyzed(i int, fp *pdg.FuncPDG) *funcMemo {
+	m := &e.memo[i]
+	if m.done && e.readsCurrent(m.reads) {
+		return m
+	}
+	e.reads, e.recording = m.reads[:0], true
+	m.states = e.analyzeFunc(fp)
+	m.ret = e.returnVal(fp, m.states)
+	m.reads, m.done = e.reads, true
+	e.reads, e.recording = nil, false
+	return m
+}
+
+// readsCurrent reports whether every recorded read still sees its value.
+func (e *engine) readsCurrent(reads []retRead) bool {
+	for _, r := range reads {
+		if e.ret[r.callee] != r.val {
+			return false
+		}
+	}
+	return true
 }
 
 // computeGlobals fills globalVal/elemVal: a global no statement anywhere
@@ -362,6 +423,7 @@ func loopHeads(g *cfg.Graph) map[cfg.NodeID]bool {
 // analyzeFunc runs the intraprocedural fixpoint for one function and
 // returns the entry state of every CFG node (nil = unreachable).
 func (e *engine) analyzeFunc(fp *pdg.FuncPDG) []env {
+	e.analyses++
 	g := fp.CFG
 	nn := len(g.Nodes)
 	in := make([]env, nn)
@@ -605,7 +667,11 @@ func (e *engine) evalExpr(fp *pdg.FuncPDG, st env, x ast.Expr, rec *recorder) Va
 			e.evalExpr(fp, st, a, rec)
 		}
 		if fi, ok := e.info.Funcs[x.Fun.Name]; ok && fi.Decl.Result.Kind != ast.TypeVoid {
-			return e.ret[x.Fun.Name]
+			v := e.ret[x.Fun.Name]
+			if e.recording {
+				e.reads = append(e.reads, retRead{x.Fun.Name, v})
+			}
+			return v
 		}
 		return Top()
 	case *ast.RecvExpr:

@@ -271,6 +271,16 @@ func (p *Program) FuncByName(name string) *Func {
 	return nil
 }
 
+// GlobalByName returns the GlobalID of the named global, or -1.
+func (p *Program) GlobalByName(name string) int {
+	for i := range p.Globals {
+		if p.Globals[i].Name == name {
+			return i
+		}
+	}
+	return -1
+}
+
 // NumInstrs returns the total instruction count (a code-size metric).
 func (p *Program) NumInstrs() int {
 	n := 0

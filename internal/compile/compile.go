@@ -25,10 +25,11 @@ import (
 )
 
 // Artifacts is everything the preparatory phase produces. An artifact
-// loaded from the persistent cache starts shallow — File, Prog, and the
-// persisted vet result only; Info/PDG/Plan/DB are nil until Hydrate —
-// because the execution phase needs nothing but the bytecode, and the
-// semantic layers are cheap to rebuild on the first debugging-phase query.
+// loaded from the persistent cache carries File, Prog, Stmts and the
+// persisted vet result; Info/PDG/Plan/DB stay nil until Hydrate. The
+// execution phase needs only the bytecode and every debugging-phase
+// question reads only Stmts and the vet result, so nothing on those paths
+// hydrates; the full semantic layers serve tools that print them.
 type Artifacts struct {
 	File *source.File
 	Prog *bytecode.Program
@@ -36,6 +37,11 @@ type Artifacts struct {
 	PDG  *pdg.Program
 	Plan *eblock.Plan
 	DB   *progdb.DB
+
+	// Stmts is the program database's statement table (DB.Table on a full
+	// compile): the static facts flowback, breakpoints and the reports
+	// read. It is present on every artifact, cache-loaded or not.
+	Stmts *progdb.StmtTable
 
 	// Facts is the abstract-interpretation result (analysis/absint),
 	// computed once per pipeline run and shared by the fusion pass (safety
@@ -55,8 +61,10 @@ type Artifacts struct {
 // rebuilding them from source for cache-loaded artifacts. It is a no-op on
 // artifacts from a full compile. The rebuild runs the front-end passes
 // only — abstract interpretation and codegen are skipped since Prog came
-// from the cache — and seeds the database's vet slot with the persisted
-// result so no analysis pass reruns. Facts stays nil.
+// from the cache — seeds the database's vet slot with the persisted
+// result so no analysis pass reruns, and points the database at the
+// persisted statement table. Facts stays nil. Only tools that print whole
+// semantic layers (`ppd dump`, the debugger's def/use queries) need it.
 func (a *Artifacts) Hydrate() error {
 	a.hydrateOnce.Do(func() {
 		if a.DB != nil {
@@ -72,6 +80,7 @@ func (a *Artifacts) Hydrate() error {
 			return
 		}
 		a.Info, a.PDG, a.Plan, a.DB = full.Info, full.PDG, full.Plan, full.DB
+		a.DB.Table = a.Stmts
 		if a.preVet != nil {
 			pre := a.preVet
 			a.DB.EnsureVet(func() *analysis.Result { return pre })
@@ -171,10 +180,11 @@ func (a *Artifacts) Vet(sink *obs.Sink) *analysis.Result {
 // cacheDir (no caching when empty). The key is a content hash over the
 // source bytes, the e-block config, and the codec version, so any change
 // to either input or format misses cleanly. On a hit the whole pipeline is
-// skipped and a shallow artifact (bytecode + persisted vet) is returned —
-// call Hydrate before debugging-phase queries. On a miss the program is
-// compiled, vetted, and stored. sink receives compile.cache.{hits,misses,
-// bytes} counters alongside the usual pipeline metrics.
+// skipped and a shallow artifact (bytecode, statement table, persisted vet)
+// is returned; it answers every debugging-phase question as it is. On a
+// miss the program is compiled, vetted, and stored. sink receives
+// compile.cache.{hits,misses,bytes} counters alongside the usual pipeline
+// metrics.
 func CompileCached(file *source.File, cfg eblock.Config, cacheDir string, workers int, sink *obs.Sink) (*Artifacts, error) {
 	return CompileCachedFused(file, cfg, cacheDir, workers, bytecode.DefaultFusionTable(), sink)
 }
@@ -197,12 +207,12 @@ func CompileCachedFused(file *source.File, cfg eblock.Config, cacheDir string, w
 	}
 	cache := &progdb.Cache{Dir: cacheDir}
 	key := progdb.CacheKey(file.Name, file.Content, cfg, tab.Fingerprint(), absint.Fingerprint)
-	if cp, size, err := cache.Load(key); err == nil && cp != nil {
+	if cp, size, err := cache.Load(key); err == nil && cp != nil && cp.Stmts != nil {
 		if sink != nil {
 			sink.Counter("compile.cache.hits").Add(1)
 			sink.Counter("compile.cache.bytes").Add(int64(size))
 		}
-		return &Artifacts{File: file, Prog: cp.Prog, cfg: cfg, preVet: cp.Vet}, nil
+		return &Artifacts{File: file, Prog: cp.Prog, Stmts: cp.Stmts, cfg: cfg, preVet: cp.Vet}, nil
 	}
 	art, err := compilePipeline(file, cfg, po)
 	if err != nil {
@@ -217,6 +227,7 @@ func CompileCachedFused(file *source.File, cfg eblock.Config, cacheDir string, w
 		Config:     cfg,
 		Prog:       art.Prog,
 		Vet:        vet,
+		Stmts:      art.Stmts,
 	})
 	if err != nil {
 		return nil, err
@@ -302,7 +313,7 @@ func compilePipeline(file *source.File, cfg eblock.Config, po pipelineOpts) (*Ar
 	sc.End()
 
 	if po.skipCodegen {
-		return &Artifacts{File: file, Info: info, PDG: p, Plan: plan, DB: db, cfg: cfg}, nil
+		return &Artifacts{File: file, Info: info, PDG: p, Plan: plan, DB: db, Stmts: db.Table, cfg: cfg}, nil
 	}
 
 	// Abstract interpretation over the finished PDG: the value-range and
@@ -343,7 +354,7 @@ func compilePipeline(file *source.File, cfg eblock.Config, po pipelineOpts) (*Ar
 		sc.End()
 	}
 
-	art := &Artifacts{File: file, Prog: c.out, Info: info, PDG: p, Plan: plan, DB: db, Facts: facts, cfg: cfg}
+	art := &Artifacts{File: file, Prog: c.out, Info: info, PDG: p, Plan: plan, DB: db, Stmts: db.Table, Facts: facts, cfg: cfg}
 	foldArtifactSizes(po.sink, art)
 	return art, nil
 }

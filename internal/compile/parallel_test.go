@@ -4,8 +4,10 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
+	"ppd/internal/ast"
 	"ppd/internal/eblock"
 	"ppd/internal/obs"
 	"ppd/internal/progdb"
@@ -129,6 +131,56 @@ func TestCompileCachedColdWarm(t *testing.T) {
 		}
 		if got, want := warm.Vet(nil).Text(), cold.Vet(nil).Text(); got != want {
 			t.Errorf("%s: post-hydrate vet differs", name)
+		}
+	}
+}
+
+// TestCachedStmtTableMatchesFresh pins the persisted statement table to
+// the one a fresh compile builds: equal rows on the cache-loaded artifact,
+// and, once hydrated, a database whose Stmt answers (function, line, text)
+// equal the fresh database's on every statement ID.
+func TestCachedStmtTableMatchesFresh(t *testing.T) {
+	dir := t.TempDir()
+	cfg := eblock.DefaultConfig()
+	for name, src := range identitySources(t) {
+		fresh, err := CompileSequential(source.NewFile(name, src), cfg)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		var warm *Artifacts
+		for range 2 {
+			if warm, err = CompileCached(source.NewFile(name, src), cfg, dir, 0, nil); err != nil {
+				t.Fatalf("%s: cached compile: %v", name, err)
+			}
+		}
+		if warm.Hydrated() {
+			t.Fatalf("%s: warm artifact should start shallow", name)
+		}
+		if !reflect.DeepEqual(warm.Stmts, fresh.Stmts) {
+			t.Errorf("%s: persisted statement table differs from the fresh one", name)
+		}
+		if err := warm.Hydrate(); err != nil {
+			t.Fatalf("%s: hydrate: %v", name, err)
+		}
+		if warm.DB.Table != warm.Stmts {
+			t.Errorf("%s: hydrated database does not read the persisted table", name)
+		}
+		n := fresh.Info.Prog.NumStmts
+		if len(fresh.Stmts.Stmts) != n+1 {
+			t.Fatalf("%s: table has %d rows for %d statements", name, len(fresh.Stmts.Stmts), n)
+		}
+		for id := ast.StmtID(0); id <= ast.StmtID(n+1); id++ {
+			f, w := fresh.DB.Stmt(id), warm.DB.Stmt(id)
+			if (f == nil) != (id == ast.NoStmt || int(id) > n || fresh.Info.Prog.StmtByID(id) == nil) {
+				t.Errorf("%s: fresh DB.Stmt(s%d) presence disagrees with the AST", name, id)
+			}
+			switch {
+			case (f == nil) != (w == nil):
+				t.Errorf("%s s%d: fresh %v, cached %v", name, id, f, w)
+			case f != nil && (f.Func != w.Func || f.Pos.Line != w.Pos.Line || f.Text != w.Text):
+				t.Errorf("%s s%d: cached %s line %d %q, fresh %s line %d %q",
+					name, id, w.Func, w.Pos.Line, w.Text, f.Func, f.Pos.Line, f.Text)
+			}
 		}
 	}
 }

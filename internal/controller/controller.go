@@ -277,8 +277,8 @@ func (c *Controller) DeadlockReport() string {
 			return fmt.Sprintf("global%d", gid)
 		},
 		func(id ast.StmtID) string {
-			if si := c.Art.DB.Stmt(id); si != nil {
-				return fmt.Sprintf("%s line %d: %s", si.Func, si.Pos.Line, si.Text)
+			if where, ok := c.Art.Stmts.Where(id); ok {
+				return where
 			}
 			return fmt.Sprintf("s%d", id)
 		})
@@ -701,10 +701,9 @@ func (c *Controller) Summary() string {
 		c.NumProcs(), totalRecords(c.Log))
 	switch {
 	case c.Failure != nil:
-		st := c.Art.DB.Stmt(c.Failure.Stmt)
-		loc := "?"
-		if st != nil {
-			loc = fmt.Sprintf("%s line %d: %s", st.Func, st.Pos.Line, st.Text)
+		loc, ok := c.Art.Stmts.Where(c.Failure.Stmt)
+		if !ok {
+			loc = "?"
 		}
 		fmt.Fprintf(&sb, "halted: process %d failed at s%d (%s): %s\n",
 			c.Failure.PID, c.Failure.Stmt, loc, c.Failure.Msg)

@@ -18,6 +18,7 @@ import (
 	"ppd/internal/controller"
 	"ppd/internal/dynpdg"
 	"ppd/internal/logging"
+	"ppd/internal/progdb"
 	"ppd/internal/replay"
 )
 
@@ -41,6 +42,16 @@ func New(c *controller.Controller) (*Session, error) {
 		return nil, err
 	}
 	return s, nil
+}
+
+// db returns the program database. A cache-loaded program rebuilds its
+// semantic layers here on first use: only the def/use and call queries
+// need more than the statement table.
+func (s *Session) db() (*progdb.DB, error) {
+	if err := s.C.Art.Hydrate(); err != nil {
+		return nil, err
+	}
+	return s.C.Art.DB, nil
 }
 
 func (s *Session) refocus(pid int) error {
@@ -169,8 +180,8 @@ func (s *Session) cmdWhere(out io.Writer) {
 			continue
 		}
 		where := ""
-		if si := s.C.Art.DB.Stmt(last.Stmt); si != nil {
-			where = fmt.Sprintf(" at %s line %d: %s", si.Func, si.Pos.Line, si.Text)
+		if loc, ok := s.C.Art.Stmts.Where(last.Stmt); ok {
+			where = " at " + loc
 		}
 		switch last.Value {
 		case logging.ExitClean:
@@ -277,10 +288,8 @@ func (s *Session) cmdNode(out io.Writer, args []string) {
 	}
 	n := s.graph.Nodes[id]
 	fmt.Fprintf(out, "n%d kind=%s label=%s", n.ID, n.Kind, n.Label)
-	if n.Stmt != ast.NoStmt {
-		if si := s.C.Art.DB.Stmt(n.Stmt); si != nil {
-			fmt.Fprintf(out, " at %s line %d: %s", si.Func, si.Pos.Line, si.Text)
-		}
+	if loc, ok := s.C.Art.Stmts.Where(n.Stmt); ok {
+		fmt.Fprintf(out, " at %s", loc)
 	}
 	if n.HasValue {
 		fmt.Fprintf(out, " value=%d", n.Value)
@@ -350,7 +359,12 @@ func (s *Session) cmdStmt(out io.Writer, args []string) {
 		fmt.Fprintf(out, "bad statement id %q\n", args[0])
 		return
 	}
-	si := s.C.Art.DB.Stmt(ast.StmtID(id))
+	db, err := s.db()
+	if err != nil {
+		fmt.Fprintf(out, "stmt: %v\n", err)
+		return
+	}
+	si := db.Stmt(ast.StmtID(id))
 	if si == nil {
 		fmt.Fprintf(out, "no statement s%d\n", id)
 		return
@@ -369,15 +383,20 @@ func (s *Session) cmdDefs(out io.Writer, args []string) {
 		fmt.Fprintln(out, "usage: defs <name>")
 		return
 	}
+	db, err := s.db()
+	if err != nil {
+		fmt.Fprintf(out, "defs: %v\n", err)
+		return
+	}
 	fnName := s.graph.Fn
-	ids := s.C.Art.DB.DefsOf(fnName, args[0])
+	ids := db.DefsOf(fnName, args[0])
 	if len(ids) == 0 {
 		fmt.Fprintf(out, "no definitions of %q\n", args[0])
 		return
 	}
 	sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
 	for _, id := range ids {
-		si := s.C.Art.DB.Stmt(id)
+		si := db.Stmt(id)
 		fmt.Fprintf(out, "  s%d %s line %d: %s\n", id, si.Func, si.Pos.Line, si.Text)
 	}
 }
@@ -387,12 +406,12 @@ func (s *Session) cmdResolve(out io.Writer, args []string) {
 		fmt.Fprintln(out, "usage: resolve <global-name>")
 		return
 	}
-	sym := s.C.Art.Info.GlobalByName(args[0])
-	if sym == nil {
+	gid := s.C.Art.Prog.GlobalByName(args[0])
+	if gid < 0 {
 		fmt.Fprintf(out, "no global %q\n", args[0])
 		return
 	}
-	ref := s.C.ResolveInitial(s.pid, s.interval, sym.GlobalID)
+	ref := s.C.ResolveInitial(s.pid, s.interval, gid)
 	if ref == nil {
 		fmt.Fprintf(out, "%s's value predates the interval: initialization or own writes only\n", args[0])
 		return
@@ -419,13 +438,13 @@ func (s *Session) cmdWhatIf(out io.Writer, args []string) {
 		fmt.Fprintf(out, "bad value %q\n", parts[1])
 		return
 	}
-	sym := s.C.Art.Info.GlobalByName(name)
-	if sym == nil {
+	gid := s.C.Art.Prog.GlobalByName(name)
+	if gid < 0 {
 		fmt.Fprintf(out, "no global %q (what-if currently targets globals)\n", name)
 		return
 	}
 	res, err := replay.WhatIf(s.C.Art.Prog, s.C.Log.Books[s.pid], s.interval,
-		[]replay.Override{{Slot: -1, Global: sym.GlobalID, Value: val}})
+		[]replay.Override{{Slot: -1, Global: gid, Value: val}})
 	if err != nil {
 		fmt.Fprintf(out, "whatif: %v\n", err)
 		return

@@ -21,10 +21,10 @@ import (
 	"strings"
 
 	"ppd/internal/ast"
+	"ppd/internal/bytecode"
 	"ppd/internal/compile"
 	"ppd/internal/logging"
-	"ppd/internal/pdg"
-	"ppd/internal/sem"
+	"ppd/internal/progdb"
 	"ppd/internal/trace"
 )
 
@@ -186,10 +186,12 @@ func Build(art *compile.Artifacts, buf *trace.Buffer, rootFn string) *Graph {
 // time. It implements trace.Consumer, so an emulation can stream its
 // events straight into it without storing a trace. Its cost is linear in
 // the number of events: every lookup is an index into a per-statement,
-// per-variable or per-activation table.
+// per-variable or per-activation table. Its static facts come from the
+// program database's statement table (Artifacts.Stmts) alone.
 type Builder struct {
 	g   *Graph
 	art *compile.Artifacts
+	tab *progdb.StmtTable
 
 	nodes slab[Node]
 	edges slab[Edge]
@@ -200,11 +202,8 @@ type Builder struct {
 	// shared across activations).
 	lastWriteGlobal []NodeID
 
-	// stmts memoizes per-statement facts, indexed by StmtID.
+	// stmts holds per-statement build state, indexed by StmtID.
 	stmts []stmtMemo
-
-	// ctrlArena backs every stmtMemo.ctrl slice.
-	ctrlArena []ast.StmtID
 
 	curStmtNode NodeID // the open statement instance, or -1
 	prevNode    NodeID // for flow edges
@@ -227,8 +226,6 @@ type Builder struct {
 	// bindParams' scratch.
 	spare    [][]pend
 	consumed []bool
-
-	argVarsCache map[argVarsKey][][]int
 }
 
 // slab is append-only storage in chunks of doubling size (16, 32, 64, ...
@@ -272,8 +269,7 @@ func (s *slab[T]) ptrs() []*T {
 // activation is the builder state for one function instance being walked.
 type activation struct {
 	numSlots int
-	fi       *sem.FuncInfo
-	fpdg     *pdg.FuncPDG
+	locals   []string // slot names
 	// lastWrite maps local slot -> defining node, or -1.
 	lastWrite []NodeID
 	callNode  NodeID // the sub-graph node in the caller, or -1 for the root
@@ -291,25 +287,11 @@ type callSave struct {
 	pending  []pend
 }
 
-// stmtMemo is what the builder learns about a statement the first time it
-// needs it.
+// stmtMemo is the builder's state for one statement.
 type stmtMemo struct {
 	// last holds the node IDs + 1 of the statement's two latest instances,
 	// newest first (0 = none): where control edges come from.
 	last [2]int32
-
-	label     string // the statement's text, or "s?" when unknown
-	known     bool   // the statement exists in the AST
-	pureSync  bool   // P, V, send or spawn: one sync node per instance
-	labelDone bool
-
-	ctrl     []ast.StmtID // static controlling predicates' statements
-	ctrlDone bool
-}
-
-type argVarsKey struct {
-	stmt   ast.StmtID
-	callee int
 }
 
 // NewBuilder starts the graph of an interval of rootFn: the ENTRY node and
@@ -318,8 +300,9 @@ func NewBuilder(art *compile.Artifacts, rootFn string) *Builder {
 	b := &Builder{
 		g:               &Graph{Art: art, Fn: rootFn},
 		art:             art,
+		tab:             art.Stmts,
 		lastWriteGlobal: make([]NodeID, len(art.Prog.Globals)),
-		stmts:           make([]stmtMemo, art.Info.Prog.NumStmts+1),
+		stmts:           make([]stmtMemo, len(art.Stmts.Stmts)),
 		curStmtNode:     -1,
 	}
 	for i := range b.lastWriteGlobal {
@@ -327,7 +310,7 @@ func NewBuilder(art *compile.Artifacts, rootFn string) *Builder {
 	}
 	fn := art.Prog.FuncByName(rootFn)
 	b.prevNode = b.newNode(Node{Kind: NodeEntry, Label: "ENTRY:" + rootFn, Var: -1})
-	b.pushActivation(rootFn, fn.NumSlots, -1)
+	b.pushActivation(fn, -1)
 	return b
 }
 
@@ -403,29 +386,20 @@ func (b *Builder) memo(id ast.StmtID) *stmtMemo {
 	return &b.stmts[id]
 }
 
-// stmtLabel returns the statement's memo entry with its label, rendered
-// once per statement.
-func (b *Builder) stmtLabel(id ast.StmtID) *stmtMemo {
-	m := b.memo(id)
-	if !m.labelDone {
-		m.labelDone = true
-		m.label = "s?"
-		if st := b.art.Info.Prog.StmtByID(id); st != nil {
-			m.label, m.known = ast.StmtString(st), true
-			switch st.(type) {
-			case *ast.SemStmt, *ast.SendStmt, *ast.SpawnStmt:
-				m.pureSync = true
-			}
-		}
+// stmtLabel returns the statement's text, or "s?" when no statement has
+// the ID.
+func (b *Builder) stmtLabel(id ast.StmtID) string {
+	if r := b.tab.Stmt(id); r != nil {
+		return r.Text
 	}
-	return m
+	return "s?"
 }
 
 func (b *Builder) top() *activation { return &b.acts[len(b.acts)-1] }
 
 // pushActivation enters a function instance, reusing the slot table of the
 // last activation popped at this depth.
-func (b *Builder) pushActivation(fnName string, numSlots int, callNode NodeID) *activation {
+func (b *Builder) pushActivation(fn *bytecode.Func, callNode NodeID) *activation {
 	n := len(b.acts)
 	if n < cap(b.acts) {
 		b.acts = b.acts[:n+1]
@@ -434,13 +408,12 @@ func (b *Builder) pushActivation(fnName string, numSlots int, callNode NodeID) *
 	}
 	a := &b.acts[n]
 	lw := a.lastWrite[:0]
-	for i := 0; i < numSlots; i++ {
+	for i := 0; i < fn.NumSlots; i++ {
 		lw = append(lw, -1)
 	}
 	*a = activation{
-		numSlots:  numSlots,
-		fi:        b.art.Info.Funcs[fnName],
-		fpdg:      b.art.PDG.Funcs[fnName],
+		numSlots:  fn.NumSlots,
+		locals:    b.tab.Funcs[fn.Idx].Locals,
 		lastWrite: lw,
 		callNode:  callNode,
 	}
@@ -484,8 +457,8 @@ func (b *Builder) defNodeFor(v int) NodeID {
 }
 
 func localName(act *activation, slot int) string {
-	if act.fi != nil && slot < len(act.fi.Locals) {
-		return act.fi.Locals[slot].Name
+	if slot < len(act.locals) {
+		return act.locals[slot]
 	}
 	return fmt.Sprintf("slot%d", slot)
 }
@@ -517,7 +490,11 @@ func (b *Builder) attachControl(id NodeID) {
 	if stmt == ast.NoStmt {
 		return
 	}
-	for _, dep := range b.ctrlDeps(stmt) {
+	r := b.tab.Stmt(stmt)
+	if r == nil {
+		return
+	}
+	for _, dep := range r.Ctrl {
 		m := b.memo(dep)
 		src := NodeID(m.last[0]) - 1
 		if src == id {
@@ -527,32 +504,6 @@ func (b *Builder) attachControl(id NodeID) {
 			b.addEdge(EdgeControl, src, id, -1)
 		}
 	}
-}
-
-// ctrlDeps returns the statements of stmt's static controlling
-// predicates in the current activation's PDG, resolved once per statement.
-func (b *Builder) ctrlDeps(stmt ast.StmtID) []ast.StmtID {
-	m := b.memo(stmt)
-	if m.ctrlDone {
-		return m.ctrl
-	}
-	m.ctrlDone = true
-	fpdg := b.top().fpdg
-	if fpdg == nil {
-		return nil
-	}
-	cfgNode := fpdg.CFG.NodeFor(stmt)
-	if cfgNode < 0 {
-		return nil
-	}
-	start := len(b.ctrlArena)
-	for _, dep := range fpdg.CtrlDepsOf(cfgNode) {
-		if depStmt := fpdg.CFG.Nodes[dep].Stmt; depStmt != nil {
-			b.ctrlArena = append(b.ctrlArena, depStmt.ID())
-		}
-	}
-	m.ctrl = b.ctrlArena[start:len(b.ctrlArena):len(b.ctrlArena)]
-	return m.ctrl
 }
 
 // openStmt starts a node for a new statement instance, first flushing any
@@ -626,7 +577,7 @@ func (b *Builder) event(e *trace.Event) {
 			}
 			b.retire(r.pending)
 		}
-		b.openStmt(e.Stmt, b.stmtLabel(e.Stmt).label)
+		b.openStmt(e.Stmt, b.stmtLabel(e.Stmt))
 		b.pending = b.pending[:0]
 
 	case trace.EvRead:
@@ -670,7 +621,7 @@ func (b *Builder) event(e *trace.Event) {
 		b.pending = b.takePending()
 		// bindParams created %1..%n right after the sub-graph node; they
 		// define the callee's parameter slots.
-		newAct := b.pushActivation(callee.Name, callee.NumSlots, sub)
+		newAct := b.pushActivation(callee, sub)
 		for i := range e.Args {
 			if i < len(callee.ParamSlots) {
 				newAct.lastWrite[callee.ParamSlots[i]] = sub + 1 + NodeID(i)
@@ -720,15 +671,15 @@ func (b *Builder) event(e *trace.Event) {
 		b.curStmtNode = sub
 
 	case trace.EvSync:
-		m := b.stmtLabel(e.Stmt)
+		r := b.tab.Stmt(e.Stmt)
 		stLabel := e.Op.String()
-		if m.known {
-			stLabel = m.label
+		if r != nil {
+			stLabel = r.Text
 		}
 		// Pure synchronization statements (P, V, send, spawn) become a
 		// single sync node: convert the statement's open singular node
 		// rather than adding a second one.
-		if m.pureSync && b.curStmtNode >= 0 && b.nodes.at(int(b.curStmtNode)).Stmt == e.Stmt {
+		if r != nil && r.Sync && b.curStmtNode >= 0 && b.nodes.at(int(b.curStmtNode)).Stmt == e.Stmt {
 			n := b.nodes.at(int(b.curStmtNode))
 			n.Kind = NodeSync
 			b.flushDeps(n.ID) // send values / spawn arguments feed the event
@@ -809,7 +760,7 @@ func paramLabel(i int) string {
 // returns the pending reads no argument consumed, filtered in place: the
 // caller hands b.pending's array to the result and takes a fresh one.
 func (b *Builder) bindParams(e *trace.Event, sub NodeID) []pend {
-	argVars := b.argVars(e.Stmt, e.FuncIdx)
+	argVars := b.tab.ArgVars(e.Stmt, e.FuncIdx)
 	consumed := b.consumed[:0]
 	for range b.pending {
 		consumed = append(consumed, false)
@@ -843,60 +794,4 @@ func (b *Builder) bindParams(e *trace.Event, sub NodeID) []pend {
 	}
 	b.consumed = consumed
 	return remaining
-}
-
-// argVars resolves, per argument position, the variable space indices the
-// argument expression reads, using the AST (cached per call site). A call
-// site's statement belongs to exactly one function, the current
-// activation's.
-func (b *Builder) argVars(stmt ast.StmtID, calleeIdx int) [][]int {
-	if b.argVarsCache == nil {
-		b.argVarsCache = make(map[argVarsKey][][]int)
-	}
-	key := argVarsKey{stmt: stmt, callee: calleeIdx}
-	if v, ok := b.argVarsCache[key]; ok {
-		return v
-	}
-	var out [][]int
-	st := b.art.Info.Prog.StmtByID(stmt)
-	act := b.top()
-	if st != nil && act.fi != nil && calleeIdx >= 0 && calleeIdx < len(b.art.Prog.Funcs) {
-		calleeName := b.art.Prog.Funcs[calleeIdx].Name
-		space := act.fpdg.Space
-		var call *ast.CallExpr
-		ast.Inspect(st, func(n ast.Node) bool {
-			if call != nil {
-				return false
-			}
-			// Do not descend into nested statements: they are separate
-			// trace events.
-			switch n.(type) {
-			case *ast.BlockStmt:
-				return false
-			}
-			if ce, ok := n.(*ast.CallExpr); ok && ce.Fun.Name == calleeName {
-				call = ce
-				return false
-			}
-			return true
-		})
-		if call != nil {
-			for _, arg := range call.Args {
-				var vars []int
-				ast.Inspect(arg, func(n ast.Node) bool {
-					if id, ok := n.(*ast.Ident); ok {
-						if sym := b.art.Info.Uses[id]; sym != nil {
-							if idx := space.Index(sym); idx >= 0 {
-								vars = append(vars, idx)
-							}
-						}
-					}
-					return true
-				})
-				out = append(out, vars)
-			}
-		}
-	}
-	b.argVarsCache[key] = out
-	return out
 }

@@ -14,6 +14,8 @@ import (
 	"ppd/internal/emulation"
 	"ppd/internal/logging"
 	"ppd/internal/mplgen"
+	"ppd/internal/obs"
+	"ppd/internal/source"
 	"ppd/internal/trace"
 	"ppd/internal/vm"
 	"ppd/internal/workloads"
@@ -554,14 +556,30 @@ func equivalenceCorpus(t *testing.T) []corpusProgram {
 // focus interval is always checked).
 const maxIntervalsPerProc = 24
 
-// forEachInterval compiles and runs p logged, then calls fn for a spread
+// forEachInterval compiles p twice, fresh and through a warm artifact
+// cache in dir, runs the fresh program logged, then calls fn for a spread
 // of every process's prelog intervals and its focus interval.
-func forEachInterval(t *testing.T, p corpusProgram, fn func(art *compile.Artifacts, em *emulation.Emulator, idx int, rootFn string)) {
+func forEachInterval(t *testing.T, p corpusProgram, dir string, fn func(art, cached *compile.Artifacts, em *emulation.Emulator, idx int, rootFn string)) {
 	t.Helper()
 	art, err := compile.CompileSource(p.name, p.src, eblock.DefaultConfig())
 	if err != nil {
 		t.Fatalf("%s: compile: %v", p.name, err)
 	}
+	var cached *compile.Artifacts
+	for _, pass := range []string{"cold", "warm"} {
+		sink := obs.New()
+		if cached, err = compile.CompileCached(source.NewFile(p.name, p.src), eblock.DefaultConfig(), dir, 0, sink); err != nil {
+			t.Fatalf("%s: %s cached compile: %v", p.name, pass, err)
+		}
+		if pass == "warm" && sink.Snapshot().Counters["compile.cache.hits"] != 1 {
+			t.Fatalf("%s: warm compile missed the cache", p.name)
+		}
+	}
+	defer func() {
+		if cached.Hydrated() {
+			t.Errorf("%s: building from the cache-loaded artifacts hydrated them", p.name)
+		}
+	}()
 	v := vm.New(art.Prog, vm.Options{Mode: vm.ModeLog, Seed: 1})
 	_ = v.Run()
 	for pid, book := range v.Log.Books {
@@ -591,7 +609,7 @@ func forEachInterval(t *testing.T, p corpusProgram, fn func(art *compile.Artifac
 			if err != nil {
 				t.Fatalf("%s P%d interval %d: %v", p.name, pid+1, idx, err)
 			}
-			fn(art, em, idx, f.Name)
+			fn(art, cached, em, idx, f.Name)
 		}
 	}
 }
@@ -600,11 +618,14 @@ func forEachInterval(t *testing.T, p corpusProgram, fn func(art *compile.Artifac
 // builder: on every checked interval of the corpus both produce the same
 // node list (kind, statement, label, value, variable) and, per node, the
 // same multiset of incoming edges. The graph streamed from the emulator
-// must also equal the one built from the stored trace, byte for byte.
+// must also equal the one built from the stored trace, byte for byte, and
+// so must the graph built from cache-loaded artifacts, whose statement
+// table is the builder's only static input.
 func TestBuilderMatchesReference(t *testing.T) {
 	intervals := 0
+	dir := t.TempDir()
 	for _, p := range equivalenceCorpus(t) {
-		forEachInterval(t, p, func(art *compile.Artifacts, em *emulation.Emulator, idx int, rootFn string) {
+		forEachInterval(t, p, dir, func(art, cached *compile.Artifacts, em *emulation.Emulator, idx int, rootFn string) {
 			intervals++
 			res, err := em.Emulate(idx)
 			if err != nil {
@@ -614,6 +635,11 @@ func TestBuilderMatchesReference(t *testing.T) {
 			want := refBuild(art, res.Trace, rootFn)
 			where := fmt.Sprintf("%s interval %d (%s)", p.name, idx, rootFn)
 			compareWithReference(t, where, got, want)
+			fromCache := Build(cached, res.Trace, rootFn)
+			compareWithReference(t, where+" from the cache", fromCache, want)
+			if c, g := fromCache.String(), got.String(); c != g {
+				t.Errorf("%s: graph from cache-loaded artifacts differs:\n%s\nvs\n%s", where, c, g)
+			}
 
 			b := NewBuilder(art, rootFn)
 			var sres emulation.Result

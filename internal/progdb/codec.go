@@ -45,20 +45,27 @@ const cacheMagic = 0x50504443
 // v4: functions carry the precomputed prelog-PC index (PrelogAt), so a warm
 // cache hit starts emulation without re-scanning code for OpPrelog sites;
 // v3 entries decode-fail into clean misses.
-const CodecVersion = 4
+//
+// v5: the entry carries the program database's statement table
+// (StmtTable), so a warm cache hit answers debugging-phase questions
+// without rebuilding the front end; v4 entries decode-fail into clean
+// misses.
+const CodecVersion = 5
 
 // CachedProgram is the persisted slice of a compile: everything the
-// execution phase needs (the bytecode program) plus the vet result the
-// debugging phase uses to prune its race detectors. The semantic layers
-// (AST, sem.Info, PDG, e-block plan, the database proper) are cheap to
-// rebuild from source and full of unexported graph state, so they are
-// rehydrated on demand instead of serialized.
+// execution phase needs (the bytecode program), the vet result the
+// debugging phase uses to prune its race detectors, and the statement
+// table flowback and the reports read. The rest of the semantic layers
+// (AST, sem.Info, PDG, e-block plan, the def/use index) serve only tools
+// that print them, are full of unexported graph state, and are rebuilt
+// from source on demand instead of serialized.
 type CachedProgram struct {
 	SourceName string
 	Source     string
 	Config     eblock.Config
 	Prog       *bytecode.Program
 	Vet        *analysis.Result
+	Stmts      *StmtTable
 }
 
 // Encode serializes cp. The output is deterministic: map-shaped fields
@@ -74,6 +81,7 @@ func Encode(cp *CachedProgram) []byte {
 	b = binary.AppendVarint(b, int64(cp.Config.LoopBlockMinStmts))
 	b = appendProgram(b, cp.Prog)
 	b = appendVet(b, cp.Vet)
+	b = appendTable(b, cp.Stmts)
 	return b
 }
 
@@ -86,6 +94,7 @@ func EncodedLen(cp *CachedProgram) int {
 	n += varintLen(int64(cp.Config.LoopBlockMinStmts))
 	n += programLen(cp.Prog)
 	n += vetLen(cp.Vet)
+	n += tableLen(cp.Stmts)
 	return n
 }
 
@@ -124,6 +133,9 @@ func Decode(data []byte) (*CachedProgram, error) {
 		return nil, err
 	}
 	if cp.Vet, err = d.vet(); err != nil {
+		return nil, err
+	}
+	if cp.Stmts, err = d.table(cp.Prog); err != nil {
 		return nil, err
 	}
 	if d.pos != len(d.b) {
@@ -648,6 +660,10 @@ func (d *decoder) program() (*bytecode.Program, error) {
 		f, err := d.fn()
 		if err != nil {
 			return nil, fmt.Errorf("func %d: %w", i, err)
+		}
+		// The statement table and the flowback builder index by Idx.
+		if f.Idx != int(i) {
+			return nil, fmt.Errorf("progdb: function %d has index %d", i, f.Idx)
 		}
 		p.Funcs = append(p.Funcs, f)
 		p.FuncIdx[f.Name] = int(i)

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"os"
 	"path/filepath"
+	"reflect"
 	"testing"
 
 	"ppd/internal/analysis/absint"
@@ -14,7 +15,7 @@ import (
 )
 
 // cachedFrom compiles src and packages the artifacts the way CompileCached
-// stores them, vet result included.
+// stores them, vet result and statement table included.
 func cachedFrom(t testing.TB, name, src string) *progdb.CachedProgram {
 	t.Helper()
 	cfg := eblock.DefaultConfig()
@@ -28,6 +29,7 @@ func cachedFrom(t testing.TB, name, src string) *progdb.CachedProgram {
 		Config:     cfg,
 		Prog:       art.Prog,
 		Vet:        art.Vet(nil),
+		Stmts:      art.Stmts,
 	}
 }
 
@@ -58,6 +60,9 @@ func TestCodecRoundTrip(t *testing.T) {
 		}
 		if dec.SourceName != cp.SourceName || dec.Source != cp.Source || dec.Config != cp.Config {
 			t.Errorf("%s: identity fields corrupted", cp.SourceName)
+		}
+		if cp.Stmts == nil || !reflect.DeepEqual(dec.Stmts, cp.Stmts) {
+			t.Errorf("%s: statement table differs after the round trip", cp.SourceName)
 		}
 		// FuncIdx is rebuilt, not stored.
 		for name, idx := range cp.Prog.FuncIdx {
@@ -142,8 +147,20 @@ func TestCodecCorruptNoPanic(t *testing.T) {
 }
 
 func FuzzArtifactsDecode(f *testing.F) {
+	// Every seed carries a statement table.
 	for _, w := range workloads.Standard() {
 		f.Add(progdb.Encode(cachedFrom(f, w.Name+".mpl", w.Src)))
+	}
+	paths, err := filepath.Glob(filepath.Join("..", "..", "testdata", "*.mpl"))
+	if err != nil {
+		f.Fatal(err)
+	}
+	for _, p := range paths {
+		src, err := os.ReadFile(p)
+		if err != nil {
+			f.Fatal(err)
+		}
+		f.Add(progdb.Encode(cachedFrom(f, filepath.Base(p), string(src))))
 	}
 	f.Add([]byte("PPDC"))
 	f.Add([]byte{})

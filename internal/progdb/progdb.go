@@ -8,7 +8,6 @@ package progdb
 
 import (
 	"fmt"
-	"sort"
 	"strings"
 	"sync"
 
@@ -29,12 +28,13 @@ type VarSites struct {
 	Uses   []ast.StmtID
 }
 
-// StmtInfo is the database's per-statement record.
+// StmtInfo is the database's per-statement record, read from the
+// statement table plus the calls the statement makes.
 type StmtInfo struct {
 	ID       ast.StmtID
 	Func     string
-	Pos      source.Position
-	Text     string // one-line rendering
+	Pos      source.Position // file, line and column
+	Text     string          // one-line rendering
 	IsBranch bool
 	Calls    []string
 }
@@ -46,7 +46,9 @@ type DB struct {
 	PDG  *pdg.Program
 	Plan *eblock.Plan
 
-	Stmts map[ast.StmtID]*StmtInfo
+	// Table is the per-statement index: the one Stmt reads and the one the
+	// artifact cache persists for the debugging phase.
+	Table *StmtTable
 
 	// vars is keyed by "scope\x00name" (scope empty for globals).
 	vars map[string]*VarSites
@@ -95,7 +97,7 @@ func BuildWith(p *pdg.Program, plan *eblock.Plan, pool *sched.Pool) *DB {
 		Info:  p.Info,
 		PDG:   p,
 		Plan:  plan,
-		Stmts: make(map[ast.StmtID]*StmtInfo),
+		Table: newTable(p.Info),
 		vars:  make(map[string]*VarSites),
 	}
 	for _, g := range p.Info.Globals {
@@ -107,15 +109,19 @@ func BuildWith(p *pdg.Program, plan *eblock.Plan, pool *sched.Pool) *DB {
 		}
 	}
 	n := len(p.Info.FuncList)
+	funcIdx := make(map[string]int, n)
+	for i, fn := range p.Info.FuncList {
+		funcIdx[fn.Name()] = i
+	}
 	var parts []*funcIndex
 	if pool == nil {
 		parts = make([]*funcIndex, n)
-		for i, fn := range p.Info.FuncList {
-			parts[i] = db.collectFunc(fn)
+		for i := range p.Info.FuncList {
+			parts[i] = db.collectFunc(i, funcIdx)
 		}
 	} else {
 		parts = sched.Map(pool, n, func(i int) *funcIndex {
-			return db.collectFunc(p.Info.FuncList[i])
+			return db.collectFunc(i, funcIdx)
 		})
 	}
 	for _, part := range parts {
@@ -126,10 +132,9 @@ func BuildWith(p *pdg.Program, plan *eblock.Plan, pool *sched.Pool) *DB {
 
 func key(scope, name string) string { return scope + "\x00" + name }
 
-// funcIndex is one function's database contribution, collected without
-// touching the shared maps so collection can run concurrently.
+// funcIndex is one function's variable sites, collected without touching
+// the shared maps so collection can run concurrently.
 type funcIndex struct {
-	stmts []*StmtInfo
 	sites []siteContrib
 }
 
@@ -142,28 +147,19 @@ type siteContrib struct {
 	id    ast.StmtID
 }
 
-// collectFunc gathers one function's statement records and variable sites.
-// It only reads shared state (AST, PDG, spaces); all output goes into the
-// returned partial.
-func (db *DB) collectFunc(fn *sem.FuncInfo) *funcIndex {
+// collectFunc fills function fi's statement rows and gathers its variable
+// sites. It only reads shared state (AST, PDG, spaces) and writes only the
+// table rows of its own statements; the sites go into the returned
+// partial.
+func (db *DB) collectFunc(fi int, funcIdx map[string]int) *funcIndex {
+	fn := db.Info.FuncList[fi]
 	f := db.PDG.Funcs[fn.Name()]
 	space := f.Space
-	file := db.Prog.File
 	part := &funcIndex{}
 	for _, s := range ast.Stmts(fn.Decl.Body) {
 		id := s.ID()
-		si := &StmtInfo{
-			ID:   id,
-			Func: fn.Name(),
-			Pos:  file.Position(s.Pos()),
-			Text: ast.StmtString(s),
-		}
-		switch s.(type) {
-		case *ast.IfStmt, *ast.WhileStmt, *ast.ForStmt:
-			si.IsBranch = true
-		}
+		db.Table.Stmts[id] = stmtRow(db.PDG, f, fi, funcIdx, s)
 		if ud, ok := db.PDG.Inter.UseDefs[fn.Name()][id]; ok {
-			si.Calls = ud.Calls
 			contrib := func(v int, def bool) {
 				sc := siteContrib{sym: space.Symbol(v), def: def, id: id}
 				if !space.IsGlobal(v) {
@@ -174,7 +170,6 @@ func (db *DB) collectFunc(fn *sem.FuncInfo) *funcIndex {
 			ud.Def.ForEach(func(v int) { contrib(v, true) })
 			ud.Use.ForEach(func(v int) { contrib(v, false) })
 		}
-		part.stmts = append(part.stmts, si)
 	}
 	return part
 }
@@ -183,9 +178,6 @@ func (db *DB) collectFunc(fn *sem.FuncInfo) *funcIndex {
 // FuncList order, which makes the merged database identical to the one the
 // sequential indexer builds.
 func (db *DB) mergeFunc(part *funcIndex) {
-	for _, si := range part.stmts {
-		db.Stmts[si.ID] = si
-	}
 	for _, sc := range part.sites {
 		k := key(sc.scope, sc.sym.Name)
 		vs, ok := db.vars[k]
@@ -208,7 +200,24 @@ func (db *DB) Global(name string) *VarSites { return db.vars[key("", name)] }
 func (db *DB) Local(fn, name string) *VarSites { return db.vars[key(fn, name)] }
 
 // Stmt returns the record for a statement ID, or nil.
-func (db *DB) Stmt(id ast.StmtID) *StmtInfo { return db.Stmts[id] }
+func (db *DB) Stmt(id ast.StmtID) *StmtInfo {
+	r := db.Table.Stmt(id)
+	if r == nil {
+		return nil
+	}
+	fn := db.Table.Funcs[r.Func].Name
+	si := &StmtInfo{
+		ID:       id,
+		Func:     fn,
+		Pos:      source.Position{Filename: db.Prog.File.Name, Line: r.Line, Column: r.Col},
+		Text:     r.Text,
+		IsBranch: r.Branch,
+	}
+	if ud, ok := db.PDG.Inter.UseDefs[fn][id]; ok {
+		si.Calls = ud.Calls
+	}
+	return si
+}
 
 // FuncUsedDefined reports the interprocedural USED/DEFINED global names of
 // a function — the paper's canonical program-database query.
@@ -256,14 +265,10 @@ func (db *DB) Dump() string {
 	}
 
 	b.WriteString("statements:\n")
-	ids := make([]int, 0, len(db.Stmts))
-	for id := range db.Stmts {
-		ids = append(ids, int(id))
-	}
-	sort.Ints(ids)
-	for _, id := range ids {
-		si := db.Stmts[ast.StmtID(id)]
-		fmt.Fprintf(&b, "  s%-4d %-10s %4d: %s\n", si.ID, si.Func, si.Pos.Line, si.Text)
+	for id, r := range db.Table.Stmts {
+		if r.Func >= 0 {
+			fmt.Fprintf(&b, "  s%-4d %-10s %4d: %s\n", id, db.Table.Funcs[r.Func].Name, r.Line, r.Text)
+		}
 	}
 
 	b.WriteString(db.Plan.String())

@@ -79,7 +79,7 @@ func TestStmtInfo(t *testing.T) {
 	db := buildDB(t, dbSrc)
 	// Find the call statement setg(3).
 	var call *StmtInfo
-	for _, si := range db.Stmts {
+	for _, si := range allStmts(db) {
 		if si.Text == "setg(3)" {
 			call = si
 		}
@@ -159,7 +159,7 @@ func main() {
 	while (a < 9) { a = a + 1; }
 }`)
 	branches, plain := 0, 0
-	for _, si := range db.Stmts {
+	for _, si := range allStmts(db) {
 		if si.IsBranch {
 			branches++
 		} else {
@@ -186,4 +186,15 @@ func TestDump(t *testing.T) {
 			t.Errorf("dump missing %q", want)
 		}
 	}
+}
+
+// allStmts returns the record of every statement, in ID order.
+func allStmts(db *DB) []*StmtInfo {
+	var out []*StmtInfo
+	for id := range db.Table.Stmts {
+		if si := db.Stmt(ast.StmtID(id)); si != nil {
+			out = append(out, si)
+		}
+	}
+	return out
 }

@@ -145,9 +145,13 @@ func TestCacheKeyFusionSensitivity(t *testing.T) {
 }
 
 // TestCacheOldCodecVersionIsMiss: after a codec version bump, entries
-// written by the previous version must read as clean misses (recompile
-// and overwrite), never as errors or stale programs.
+// written by any previous version — v4, the last without the statement
+// table, included — must read as clean misses (recompile and overwrite),
+// never as errors or stale programs.
 func TestCacheOldCodecVersionIsMiss(t *testing.T) {
+	if progdb.CodecVersion <= 4 {
+		t.Fatalf("CodecVersion = %d; v4 entries lack the statement table", progdb.CodecVersion)
+	}
 	dir := t.TempDir()
 	c := &progdb.Cache{Dir: dir}
 	cp := cachedFrom(t, "old.mpl", `func main() { print(1); }`)
@@ -155,16 +159,24 @@ func TestCacheOldCodecVersionIsMiss(t *testing.T) {
 	if _, err := c.Store(key, cp); err != nil {
 		t.Fatal(err)
 	}
-	// Rewrite the stored entry with the previous codec version byte, as a
-	// pre-bump ppd binary would have left it (v1 had no Super tables; a
-	// version mismatch alone must already reject it).
-	enc := progdb.Encode(cp)
-	enc[4] = progdb.CodecVersion - 1
-	if err := os.WriteFile(filepath.Join(dir, key+".ppdc"), enc, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	got, _, err := c.Load(key)
-	if err != nil || got != nil {
-		t.Fatalf("old-version entry Load = %v, %v; want clean miss", got, err)
+	for v := byte(1); v < progdb.CodecVersion; v++ {
+		// Rewrite the stored entry with an older codec version byte, as a
+		// pre-bump ppd binary would have left it (v1 had no Super tables,
+		// v4 no statement table; a version mismatch alone must already
+		// reject it). A body without the table's presence byte is v4's
+		// layout.
+		noTable := *cp
+		noTable.Stmts = nil
+		v4 := progdb.Encode(&noTable)
+		for _, enc := range [][]byte{progdb.Encode(cp), v4[:len(v4)-1]} {
+			enc[4] = v
+			if err := os.WriteFile(filepath.Join(dir, key+".ppdc"), enc, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			got, _, err := c.Load(key)
+			if err != nil || got != nil {
+				t.Fatalf("v%d entry Load = %v, %v; want clean miss", v, got, err)
+			}
+		}
 	}
 }

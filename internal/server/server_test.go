@@ -639,3 +639,68 @@ func TestStreamingRerunStopAtFirstRace(t *testing.T) {
 		t.Error("summary does not report stopped_at_race")
 	}
 }
+
+// TestSessionQuestionsNeverHydrate drives a session whose program came
+// from the shared artifact cache through create → races → flowback →
+// streamed re-run and checks that no step rebuilt the program's semantic
+// layers, and that the answers equal a fresh compile's.
+func TestSessionQuestionsNeverHydrate(t *testing.T) {
+	wl := workloads.RacyCounter(3, 10, false)
+	h := newHarness(t, Config{CacheDir: t.TempDir()})
+	h.create(t, wl.Src, map[string]any{"seed": int64(1), "quantum": 5}) // stores the entry
+	id := h.create(t, wl.Src, map[string]any{"seed": int64(1), "quantum": 5})
+	ss, err := h.srv.lookup(id, time.Now())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if ss.sess.Program().CompileStats().Counter("compile.cache.hits") != 1 {
+		t.Fatal("second create missed the artifact cache")
+	}
+	hydrated := func(step string) {
+		t.Helper()
+		if ss.sess.Program().Artifacts().Hydrated() {
+			t.Fatalf("%s hydrated the cache-loaded program", step)
+		}
+	}
+	hydrated("create")
+
+	direct, err := ppd.OpenSession("t.mpl", wl.Src, ppd.Options{Seed: 1, Quantum: 5})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer direct.Close()
+
+	var races struct {
+		Report string `json:"report"`
+	}
+	if code := h.call(t, "GET", "/v1/sessions/"+id+"/races", nil, &races); code != http.StatusOK {
+		t.Fatalf("races: status %d", code)
+	}
+	hydrated("races")
+	if want, _ := direct.RaceReport(); races.Report != want {
+		t.Errorf("races differ from a fresh compile:\n got: %s\nwant: %s", races.Report, want)
+	}
+
+	var fb struct {
+		Fragment string `json:"fragment"`
+	}
+	if code := h.call(t, "POST", "/v1/sessions/"+id+"/flowback", map[string]any{"pid": 1, "depth": 4}, &fb); code != http.StatusOK {
+		t.Fatalf("flowback: status %d", code)
+	}
+	hydrated("flowback")
+	if want, _ := direct.Flowback(1, 4); fb.Fragment != want {
+		t.Errorf("flowback differs from a fresh compile:\n got: %s\nwant: %s", fb.Fragment, want)
+	}
+
+	body, _ := json.Marshal(map[string]any{"seed": int64(2), "quantum": 1})
+	resp, err := http.Post(h.ts.URL+"/v1/sessions/"+id+"/run?stream=1", "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatal(err)
+	}
+	_, _ = io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		t.Fatalf("stream rerun: status %d", resp.StatusCode)
+	}
+	hydrated("streamed re-run")
+}

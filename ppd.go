@@ -203,12 +203,8 @@ func (o Options) validate(art *compile.Artifacts) error {
 		return optionErr("StreamBatch", o.StreamBatch, "must be >= 0; 0 selects the default")
 	}
 	if o.BreakAt > 0 {
-		// Statement numbers live in the program database; a cache-loaded
-		// artifact rebuilds it here on first need.
-		if err := art.Hydrate(); err != nil {
-			return err
-		}
-		if art.DB.Stmt(ast.StmtID(o.BreakAt)) == nil {
+		// Statement numbers live in the program database's statement table.
+		if art.Stmts.Stmt(ast.StmtID(o.BreakAt)) == nil {
 			return optionErr("BreakAt", o.BreakAt,
 				fmt.Sprintf("no such statement s%d; see `ppd dump` for statement numbers", o.BreakAt))
 		}
@@ -242,8 +238,10 @@ func CompileWithConfig(filename, src string, cfg BlockConfig) (*Program, error) 
 // preparatory-phase knobs from opts: Workers bounds the pipeline's
 // per-function fan-out, and CacheDir (or the PPD_CACHE_DIR environment
 // variable) enables the persistent artifact cache. A cache hit returns a
-// Program whose semantic layers rebuild lazily on the first debugging-phase
-// query; Run, RunLogged, and Vet work immediately off the cached bytecode.
+// Program built from the cached bytecode, statement table and vet result:
+// Run, RunLogged, Vet and every debugging-phase question work off them
+// without re-running the front end. Only Artifacts' full semantic layers
+// (Info, PDG, Plan, DB) are absent until compile.Artifacts.Hydrate.
 func CompileOpts(filename, src string, cfg BlockConfig, opts Options) (*Program, error) {
 	sink := obs.New()
 	tab := bytecode.DefaultFusionTable()
@@ -536,9 +534,6 @@ func (p *Program) ReadLog(r io.Reader, opts Options) (*Execution, error) {
 	if opts.Trace != nil {
 		sink.SetTrace(opts.Trace)
 	}
-	if err := p.art.Hydrate(); err != nil {
-		return nil, err
-	}
 	// The loaded log stands in for a run: give the placeholder VM the same
 	// log so Log(), WriteLog, and Stats see the loaded records.
 	v := vm.New(p.art.Prog, vm.Options{Mode: vm.ModeLog})
@@ -559,12 +554,6 @@ func (p *Program) ReadLog(r io.Reader, opts Options) (*Execution, error) {
 // Controller returns the debugging-phase coordinator (cached).
 func (e *Execution) Controller() *Controller {
 	if e.ctl == nil {
-		if err := e.Program.art.Hydrate(); err != nil {
-			// A cached artifact rehydrates from the exact source that
-			// compiled when the entry was stored, so this cannot fail;
-			// failing loudly beats a nil-database panic downstream.
-			panic(fmt.Sprintf("ppd: hydrate artifacts: %v", err))
-		}
 		e.ctl = controller.FromRunConfig(e.Program.art, e.vm, controller.Config{
 			Workers:    e.opts.Workers,
 			CacheBound: e.opts.CacheBound,
@@ -614,13 +603,10 @@ func (e *Execution) RaceReport() string { return e.Controller().RaceReport() }
 // WhatIf re-executes the e-block interval at record prelogIdx of process
 // pid with the named global overridden, and reports what changed (§5.7).
 func (e *Execution) WhatIf(pid, prelogIdx int, global string, value int64) (*WhatIfResult, error) {
-	if err := e.Program.art.Hydrate(); err != nil {
-		return nil, err
-	}
-	sym := e.Program.art.Info.GlobalByName(global)
-	if sym == nil {
+	gid := e.Program.art.Prog.GlobalByName(global)
+	if gid < 0 {
 		return nil, fmt.Errorf("ppd: no global %q", global)
 	}
 	return replay.WhatIf(e.Program.art.Prog, e.vm.Log.Books[pid], prelogIdx,
-		[]replay.Override{{Slot: -1, Global: sym.GlobalID, Value: value}})
+		[]replay.Override{{Slot: -1, Global: gid, Value: value}})
 }
