@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fmt check cover ci bench bench-smoke examples-smoke log-check pardebug obsoverhead execlog vet-mpl vetprune compilecache cache-check fusion-check absint-check dispatch serve serve-smoke stream stream-smoke emu-check debug
+.PHONY: all build test race vet fmt check cover ci bench bench-smoke examples-smoke log-check pardebug obsoverhead execlog vet-mpl vetprune compilecache cache-check fusion-check absint-check dispatch serve serve-smoke stream stream-smoke emu-check debug graph-check
 
 all: build
 
@@ -76,7 +76,7 @@ vet-mpl: build
 	fi
 	@echo "vet-mpl: OK"
 
-ci: check cover bench-smoke examples-smoke log-check vet-mpl absint-check cache-check serve-smoke stream-smoke emu-check
+ci: check cover bench-smoke examples-smoke log-check graph-check vet-mpl absint-check cache-check serve-smoke stream-smoke emu-check
 	@echo "ci: OK"
 
 # Logging gate, without the race detector (it inflates allocation counts):
@@ -88,6 +88,21 @@ log-check:
 	$(GO) test -run 'TestLoggedRunAllocBudget|TestLogSlicesExactCap|TestStreamedEdgeSetsBounded|TestLogGoldenByteIdentical|TestStreamedLogByteIdentical|TestLogGoldenFusedVsUnfused' ./internal/vm/
 	$(GO) test -run 'TestCodec|TestStats|TestArenaChunksDouble|TestTakeExactCap' ./internal/logging/
 	@echo "log-check: OK"
+
+# Flat parallel-graph gate, without the race detector (it inflates
+# allocation counts): the flat graph equals the pointer builder's on the
+# corpus, forged logs build without panics or gsn-sized arrays, Build's
+# allocations do not grow with the event count, Controller() allocates no
+# more than the logged run it analyses, stream-mode storage stays bounded
+# by the frontier (a source older than the frontier keeps its clock in
+# the side slab), the deadlock report is deterministic, and the race
+# sets (batch, online, masked) stay byte-identical to their oracles.
+graph-check:
+	$(GO) test -run 'TestFlatGraphMatchesReference|TestForgedLogBounds|TestBuildAllocsFlat|TestFigure61ParallelGraph|TestGraphString|TestDeadlockReportDeterministic' ./internal/parallel/
+	$(GO) test -run 'TestControllerAllocBudget' .
+	$(GO) test -run 'TestStreamLiveStateBounded|TestStreamOldSourceOutlivesCompaction|TestOnlineRacesByteIdentical|FuzzStreamBatches' ./internal/stream/
+	$(GO) test -run 'TestDetectorsEquivalence|TestMaskedEquivalentToUnfiltered' ./internal/race/
+	@echo "graph-check: OK"
 
 # Every example program must run to a zero exit: they drive the public
 # packages end to end and otherwise rot unnoticed.

@@ -24,8 +24,16 @@ type Set struct {
 
 // New returns an empty set over the universe [0, n).
 func New(n int) *Set {
-	return &Set{words: make([]uint64, (n+wordBits-1)/wordBits), n: n}
+	return &Set{words: make([]uint64, Words(n)), n: n}
 }
+
+// Words returns the number of words a set over [0, n) occupies.
+func Words(n int) int { return (n + wordBits - 1) / wordBits }
+
+// Over returns a set over [0, n) stored in words, which must hold Words(n)
+// words. The set aliases words: callers carve many sets from one arena
+// instead of allocating each.
+func Over(words []uint64, n int) Set { return Set{words: words, n: n} }
 
 // FromSlice returns a set over [0, n) containing the given elements.
 func FromSlice(n int, elems []int) *Set {

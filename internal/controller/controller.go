@@ -169,7 +169,7 @@ func NewWithConfig(art *compile.Artifacts, pl *logging.ProgramLog, cfg Config) *
 	for _, em := range c.emus {
 		em.SetPool(c.epool)
 	}
-	c.pgraph = parallel.BuildWithPool(pl, len(art.Prog.Globals), c.pool)
+	c.pgraph = parallel.Build(pl, len(art.Prog.Globals))
 	names := make([]string, len(art.Prog.Globals))
 	for gid, def := range art.Prog.Globals {
 		names[gid] = def.Name
@@ -471,11 +471,9 @@ func (c *Controller) ResolveInitial(pid, prelogIdx, gid int) *CrossRef {
 	}
 	// The reading edges of this process overlapping the interval.
 	var readEdge *parallel.InternalEdge
-	for _, e := range c.pgraph.EdgesOf(pid) {
-		if e.EndRec < prelogIdx || e.StartRec > span {
-			continue
-		}
-		if e.Reads.Has(gid) {
+	edges := c.pgraph.EdgesOf(pid)
+	for i := range edges {
+		if e := &edges[i]; e.EndRec >= prelogIdx && e.StartRec <= span && e.Reads.Has(gid) {
 			readEdge = e
 			break
 		}
@@ -483,8 +481,8 @@ func (c *Controller) ResolveInitial(pid, prelogIdx, gid int) *CrossRef {
 	if readEdge == nil {
 		// The read may predate any sync op; use the process's first edge
 		// overlapping the interval.
-		for _, e := range c.pgraph.EdgesOf(pid) {
-			if e.EndRec >= prelogIdx && e.StartRec <= span {
+		for i := range edges {
+			if e := &edges[i]; e.EndRec >= prelogIdx && e.StartRec <= span {
 				readEdge = e
 				break
 			}
@@ -497,7 +495,8 @@ func (c *Controller) ResolveInitial(pid, prelogIdx, gid int) *CrossRef {
 
 	// Collect unordered (racy) writers too.
 	var racy []*parallel.InternalEdge
-	for _, cand := range c.pgraph.Edges {
+	for i := range c.pgraph.Edges {
+		cand := &c.pgraph.Edges[i]
 		if cand.PID == pid || !cand.Writes.Has(gid) {
 			continue
 		}
@@ -585,7 +584,9 @@ func (c *Controller) neighborIntervals(pid, prelogIdx int) [][2]int {
 	if res != nil {
 		span = prelogIdx + res.RecordsConsumed
 	}
-	for _, e := range c.pgraph.EdgesOf(pid) {
+	edges := c.pgraph.EdgesOf(pid)
+	for i := range edges {
+		e := &edges[i]
 		if e.EndRec < prelogIdx || e.StartRec > span {
 			continue
 		}

@@ -1,7 +1,9 @@
 package parallel
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"strings"
 
 	"ppd/internal/ast"
@@ -42,40 +44,24 @@ func (g *Graph) AnalyzeDeadlock() *DeadlockInfo {
 	info := &DeadlockInfo{Holders: make(map[int]int)}
 
 	// Track likely semaphore holders: last P without a subsequent V per
-	// object, program-order per process, merged by Gsn order.
-	type ev struct {
-		gsn uint64
-		pid int
-		op  logging.SyncOp
-		obj int
-	}
-	var evs []ev
-	for pid, book := range g.Log.Books {
-		for _, r := range book.Records {
-			if r.Kind == logging.RecSync && (r.Op == logging.OpP || r.Op == logging.OpV) {
-				evs = append(evs, ev{gsn: r.Gsn, pid: pid, op: r.Op, obj: r.Obj})
-			}
+	// object, in gsn order (the execution order). The graph's events are
+	// grouped by process, so a stable sort restores the global order.
+	var evs []*Event
+	for i := range g.Events {
+		if ev := &g.Events[i]; ev.Kind == logging.RecSync && (ev.Op == logging.OpP || ev.Op == logging.OpV) {
+			evs = append(evs, ev)
 		}
 	}
-	// Gsn order is the execution order.
-	for i := 1; i < len(evs); i++ {
-		for j := i; j > 0 && evs[j].gsn < evs[j-1].gsn; j-- {
-			evs[j], evs[j-1] = evs[j-1], evs[j]
-		}
-	}
-	held := make(map[int]int) // obj -> holder pid (-1 none)
+	slices.SortStableFunc(evs, func(a, b *Event) int { return cmp.Compare(a.Gsn, b.Gsn) })
 	for _, e := range evs {
-		switch e.op {
+		switch e.Op {
 		case logging.OpP:
-			held[e.obj] = e.pid
+			info.Holders[e.Obj] = e.PID
 		case logging.OpV:
-			if held[e.obj] == e.pid {
-				held[e.obj] = -1
+			if info.Holders[e.Obj] == e.PID {
+				info.Holders[e.Obj] = -1
 			}
 		}
-	}
-	for obj, pid := range held {
-		info.Holders[obj] = pid
 	}
 
 	for pid, book := range g.Log.Books {
@@ -88,10 +74,11 @@ func (g *Graph) AnalyzeDeadlock() *DeadlockInfo {
 			continue
 		}
 		bp := BlockedProc{PID: pid, Stmt: last.Stmt, Status: last.Value, Obj: last.Obj}
-		for i := book.Len() - 1; i >= 0; i-- {
-			if r := book.Records[i]; r.Kind == logging.RecSync {
-				bp.LastOp = r.Op
-				bp.LastObj = r.Obj
+		evs := g.eventsOf(pid)
+		for i := len(evs) - 1; i >= 0; i-- {
+			if ev := &evs[i]; ev.Kind == logging.RecSync {
+				bp.LastOp = ev.Op
+				bp.LastObj = ev.Obj
 				break
 			}
 		}
@@ -126,15 +113,18 @@ func (d *DeadlockInfo) Report(globalName func(int) string, stmtText func(ast.Stm
 		}
 		sb.WriteByte('\n')
 	}
-	holders := false
+	objs := make([]int, 0, len(d.Holders))
 	for obj, pid := range d.Holders {
 		if pid >= 0 {
-			if !holders {
-				sb.WriteString("likely held semaphores:\n")
-				holders = true
-			}
-			fmt.Fprintf(&sb, "  %s last acquired by P%d and never released\n", globalName(obj), pid)
+			objs = append(objs, obj)
 		}
+	}
+	slices.Sort(objs)
+	if len(objs) > 0 {
+		sb.WriteString("likely held semaphores:\n")
+	}
+	for _, obj := range objs {
+		fmt.Fprintf(&sb, "  %s last acquired by P%d and never released\n", globalName(obj), d.Holders[obj])
 	}
 	return sb.String()
 }

@@ -7,23 +7,30 @@
 // with vector clocks, giving O(P) comparisons between events, and exposes
 // the ordering queries race detection (package race) and the controller's
 // cross-process flowback need.
+//
+// The graph is flat: events and internal edges are value slices indexed by
+// their IDs, vector clocks are rows of one []uint32 slab, and the
+// read/write sets of all edges are carved from one word arena. Building it
+// allocates per graph, not per event.
 package parallel
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
 	"ppd/internal/ast"
 	"ppd/internal/bitset"
 	"ppd/internal/logging"
-	"ppd/internal/sched"
 )
 
-// EventID identifies a synchronization node globally.
+// EventID identifies a synchronization node globally: its index in
+// Graph.Events.
 type EventID int
 
-// Event is one synchronization node of the parallel dynamic graph.
+// Event is one synchronization node of the parallel dynamic graph. Its
+// vector clock is Graph.Clock(ID).
 type Event struct {
 	ID   EventID
 	PID  int
@@ -36,30 +43,30 @@ type Event struct {
 
 	// From is the causal source event (synchronization edge tail), or -1.
 	From EventID
-
-	// Clock is the event's vector clock (len = number of processes).
-	Clock []int
 }
 
 // InternalEdge is one internal edge: the events of a process between two
 // consecutive synchronization nodes, with the shared variables read and
-// written during it (§6.3's READ_SET/WRITE_SET).
+// written during it (§6.3's READ_SET/WRITE_SET). Edge i ends at event i, so
+// an edge's ID equals its End.
 type InternalEdge struct {
 	ID       int
 	PID      int
 	Start    EventID // the sync node the edge begins at (-1 before RecStart)
 	End      EventID // the sync node that terminated the edge
-	Reads    *bitset.Set
-	Writes   *bitset.Set
+	Reads    bitset.Set
+	Writes   bitset.Set
 	StartRec int // record index in the process's book where the edge begins
 	EndRec   int
 }
 
-// Graph is the parallel dynamic graph of one execution.
+// Graph is the parallel dynamic graph of one execution. Global IDs are
+// contiguous per process in pid order: process pid owns the events and
+// edges [procOff[pid], procOff[pid+1]).
 type Graph struct {
 	Log    *logging.ProgramLog
-	Events []*Event
-	Edges  []*InternalEdge
+	Events []Event
+	Edges  []InternalEdge
 
 	// VarNames optionally names each shared variable (indexed by
 	// GlobalID); when set, race reports print names instead of raw IDs.
@@ -68,51 +75,23 @@ type Graph struct {
 	// SyncEdges lists (from, to) event pairs (§6.2).
 	SyncEdges [][2]EventID
 
-	byGsn   map[uint64]EventID
-	byProc  [][]EventID // events per process, in order
-	edgesOf [][]*InternalEdge
+	clocks  []uint32 // event i's vector clock is row i, stride nProcs
+	procOff []int
 	nProcs  int
 	nShared int
 }
 
-// Build constructs the graph from an execution's logs. nShared is the size
-// of the GlobalID space (for the read/write bitsets). Build is a thin
-// wrapper over the incremental Builder: each book is converted to the
-// builder's feed on the shared worker pool (the read/write bitsets — the
-// heavy part of extraction — are built there), then fed in pid order. The
-// result is identical to the fully-sequential build — the builder numbers
-// each process's events and edges contiguously and Finish renumbers by
-// per-process offsets in pid order, reproducing the exact global IDs.
-func Build(pl *logging.ProgramLog, nShared int) *Graph {
-	return build(pl, nShared, sched.Shared())
+// Clock returns event id's vector clock: one entry per process, a row of
+// the graph's clock slab (callers must not modify it).
+func (g *Graph) Clock(id EventID) []uint32 {
+	lo := int(id) * g.nProcs
+	return g.clocks[lo : lo+g.nProcs : lo+g.nProcs]
 }
 
-// BuildWithPool is Build fanning out on the caller's pool instead of the
-// shared one — the Controller uses it so its configured worker bound (and
-// pool observability) covers graph construction too.
-func BuildWithPool(pl *logging.ProgramLog, nShared int, pool *sched.Pool) *Graph {
-	return build(pl, nShared, pool)
-}
-
-func build(pl *logging.ProgramLog, nShared int, pool *sched.Pool) *Graph {
-	nProcs := pl.NumProcs()
-	feeds := sched.Map(pool, nProcs, func(pid int) []FeedRecord {
-		return feedOf(pid, pl.Books[pid], nShared)
-	})
-	b := NewBuilder(nShared)
-	b.SetNumProcs(nProcs)
-	for _, feed := range feeds {
-		b.Feed(feed)
-	}
-	return b.Finish(pl)
-}
-
-func join(dst, src []int) {
-	for i, v := range src {
-		if v > dst[i] {
-			dst[i] = v
-		}
-	}
+// clockBefore is happened-before between two clock rows of equal length:
+// a, a node of process pid, precedes b.
+func clockBefore(a []uint32, pid int, b []uint32) bool {
+	return a[pid] <= b[pid] && !slices.Equal(a, b)
 }
 
 // HappensBefore reports whether event a happened before event b (§6.1's
@@ -121,17 +100,7 @@ func (g *Graph) HappensBefore(a, b EventID) bool {
 	if a == b {
 		return false
 	}
-	ea, eb := g.Events[a], g.Events[b]
-	return ea.Clock[ea.PID] <= eb.Clock[ea.PID] && !clockEqual(ea.Clock, eb.Clock)
-}
-
-func clockEqual(a, b []int) bool {
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
+	return clockBefore(g.Clock(a), g.Events[a].PID, g.Clock(b))
 }
 
 // EdgeHB implements §6.1's edge ordering: e1 → e2 iff n1 → n2 where n1 is
@@ -153,14 +122,21 @@ func (g *Graph) Simultaneous(e1, e2 *InternalEdge) bool {
 	return !g.EdgeHB(e1, e2) && !g.EdgeHB(e2, e1)
 }
 
-// EdgesOf returns the internal edges of one process, in order. The
-// per-process index is built during Build, so this is O(1) — it sits on
-// the controller's cross-process resolution path.
-func (g *Graph) EdgesOf(pid int) []*InternalEdge {
-	if pid < 0 || pid >= len(g.edgesOf) {
+// EdgesOf returns the internal edges of one process, in order: a sub-slice
+// of Edges (O(1) — it sits on the controller's cross-process resolution
+// path).
+func (g *Graph) EdgesOf(pid int) []InternalEdge {
+	if pid < 0 || pid >= g.nProcs {
 		return nil
 	}
-	return g.edgesOf[pid]
+	lo, hi := g.procOff[pid], g.procOff[pid+1]
+	return g.Edges[lo:hi:hi]
+}
+
+// eventsOf returns the events of one process, in order.
+func (g *Graph) eventsOf(pid int) []Event {
+	lo, hi := g.procOff[pid], g.procOff[pid+1]
+	return g.Events[lo:hi:hi]
 }
 
 // NumProcs returns the number of processes.
@@ -175,7 +151,8 @@ func (g *Graph) NumShared() int { return g.nShared }
 // ordered writer exists (the value came from initialization or a race).
 func (g *Graph) LastWriterBefore(e *InternalEdge, gid int) *InternalEdge {
 	var best *InternalEdge
-	for _, cand := range g.Edges {
+	for i := range g.Edges {
+		cand := &g.Edges[i]
 		if cand.ID == e.ID || !cand.Writes.Has(gid) {
 			continue
 		}
@@ -194,8 +171,7 @@ func (g *Graph) String() string {
 	var sb strings.Builder
 	for pid := 0; pid < g.nProcs; pid++ {
 		fmt.Fprintf(&sb, "P%d:", pid+1)
-		for _, eid := range g.byProc[pid] {
-			ev := g.Events[eid]
+		for _, ev := range g.eventsOf(pid) {
 			switch ev.Kind {
 			case logging.RecStart:
 				fmt.Fprintf(&sb, " start")
@@ -213,7 +189,7 @@ func (g *Graph) String() string {
 	edges := append([][2]EventID(nil), g.SyncEdges...)
 	sort.Slice(edges, func(i, j int) bool { return edges[i][0] < edges[j][0] })
 	for _, e := range edges {
-		a, b := g.Events[e[0]], g.Events[e[1]]
+		a, b := &g.Events[e[0]], &g.Events[e[1]]
 		fmt.Fprintf(&sb, "sync: P%d.%s -> P%d.%s\n", a.PID+1, a.Op, b.PID+1, opOrKind(b))
 	}
 	return sb.String()

@@ -124,13 +124,13 @@ func CheckOrientedPair(e1, e2 *parallel.InternalEdge, varNames []string) []*Race
 		return r
 	}
 	var out []*Race
-	if inter, ok := bitset.Intersection(e1.Writes, e2.Writes); ok {
+	if inter, ok := bitset.Intersection(&e1.Writes, &e2.Writes); ok {
 		out = append(out, mk(WriteWrite, inter))
 	}
-	if inter, ok := bitset.Intersection(e1.Writes, e2.Reads); ok {
+	if inter, ok := bitset.Intersection(&e1.Writes, &e2.Reads); ok {
 		out = append(out, mk(WriteRead, inter))
 	}
-	if inter, ok := bitset.Intersection(e1.Reads, e2.Writes); ok {
+	if inter, ok := bitset.Intersection(&e1.Reads, &e2.Writes); ok {
 		out = append(out, mk(ReadWrite, inter))
 	}
 	return out
@@ -142,7 +142,7 @@ func Naive(g *parallel.Graph) []*Race {
 	var out []*Race
 	for i := 0; i < len(g.Edges); i++ {
 		for j := i + 1; j < len(g.Edges); j++ {
-			e1, e2 := g.Edges[i], g.Edges[j]
+			e1, e2 := &g.Edges[i], &g.Edges[j]
 			if e1.PID == e2.PID {
 				continue
 			}
@@ -155,16 +155,17 @@ func Naive(g *parallel.Graph) []*Race {
 	return dedup(out)
 }
 
-// buckets indexes the graph's internal edges per shared variable,
+// buckets indexes the graph's internal edges (by ID) per shared variable,
 // separately for readers and writers — the candidate sets Definition 6.3
 // can ever accept.
-func buckets(g *parallel.Graph) (readers, writers [][]*parallel.InternalEdge) {
+func buckets(g *parallel.Graph) (readers, writers [][]int32) {
 	nv := g.NumShared()
-	readers = make([][]*parallel.InternalEdge, nv)
-	writers = make([][]*parallel.InternalEdge, nv)
-	for _, e := range g.Edges {
-		e.Reads.ForEach(func(v int) { readers[v] = append(readers[v], e) })
-		e.Writes.ForEach(func(v int) { writers[v] = append(writers[v], e) })
+	readers = make([][]int32, nv)
+	writers = make([][]int32, nv)
+	for i := range g.Edges {
+		e := &g.Edges[i]
+		e.Reads.ForEach(func(v int) { readers[v] = append(readers[v], int32(i)) })
+		e.Writes.ForEach(func(v int) { writers[v] = append(writers[v], int32(i)) })
 	}
 	return readers, writers
 }
@@ -181,9 +182,10 @@ func buckets(g *parallel.Graph) (readers, writers [][]*parallel.InternalEdge) {
 // a skipped bucket can contain no racing pair — any race discoverable via
 // a pruned variable conflicts on that variable, which would have put it
 // in the mask.
-func scanVars(g *parallel.Graph, readers, writers [][]*parallel.InternalEdge, lo, hi int, mask *bitset.Set, pairs, pruned *int64) []*Race {
+func scanVars(g *parallel.Graph, readers, writers [][]int32, lo, hi int, mask *bitset.Set, pairs, pruned *int64) []*Race {
 	var out []*Race
-	tryPair := func(e1, e2 *parallel.InternalEdge) {
+	tryPair := func(i1, i2 int32) {
+		e1, e2 := &g.Edges[i1], &g.Edges[i2]
 		if e1.PID == e2.PID {
 			return
 		}

@@ -262,8 +262,8 @@ func main() {
 }
 
 func TestReportRendering(t *testing.T) {
-	e1 := &parallel.InternalEdge{ID: 0, PID: 0, Reads: bitset.New(1), Writes: bitset.FromSlice(1, []int{0})}
-	e2 := &parallel.InternalEdge{ID: 1, PID: 1, Reads: bitset.New(1), Writes: bitset.FromSlice(1, []int{0})}
+	e1 := &parallel.InternalEdge{ID: 0, PID: 0, Reads: *bitset.New(1), Writes: *bitset.FromSlice(1, []int{0})}
+	e2 := &parallel.InternalEdge{ID: 1, PID: 1, Reads: *bitset.New(1), Writes: *bitset.FromSlice(1, []int{0})}
 	r := &Race{E1: e1, E2: e2, Kind: WriteWrite, Vars: []int{0}}
 	got := Report([]*Race{r}, func(int) string { return "SV" })
 	if !strings.Contains(got, "write/write") || !strings.Contains(got, "SV") {

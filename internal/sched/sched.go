@@ -1,11 +1,11 @@
 // Package sched is the debugging phase's shared worker pool: a small,
-// bounded fan-out primitive used by parallel graph construction
-// (parallel.Build), the parallel race detector (race.Parallel), and the
-// Controller's cache prefetching.
+// bounded fan-out primitive used by the Controller's per-process emulator
+// setup and cache prefetching and by the parallel race detector
+// (race.Parallel).
 //
 // The paper's §7 leaves "reducing the cost of finding all pairs of possible
 // conflicting edges" open, and every debugging-phase analysis here
-// decomposes into independent units (per-process log scans, per-variable
+// decomposes into independent units (per-process emulators, per-variable
 // conflict buckets, per-interval emulations). sched exploits that: work is
 // split into at most Workers contiguous chunks, each chunk runs on its own
 // goroutine, and results are merged back in index order — so callers get

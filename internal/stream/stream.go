@@ -118,16 +118,24 @@ type Result struct {
 	Pruned    int64 // per-edge variable touches skipped by the mask
 }
 
-// edgeRef is one unretired internal edge with its endpoint nodes (the
-// clock carriers for the simultaneity test).
-type edgeRef struct {
-	e          *parallel.InternalEdge
-	start, end *parallel.Event // start nil for a process's first edge
-}
+// edgeRef names an internal edge by process and process-local index.
+// Edge idx of a process ends at its node idx and starts at node idx-1
+// (none for idx 0); the builder stores both while the edge is unretired.
+type edgeRef struct{ pid, idx int32 }
 
 // pairKey identifies a canonically-oriented cross-process edge pair.
-type pairKey struct {
-	pid1, id1, pid2, id2 int
+type pairKey struct{ a, b edgeRef }
+
+// procState is one process's frontier state. Its edges arrive in order, so
+// the unretired ones are [retired, n): a FIFO that needs only cursors.
+type procState struct {
+	n       int  // edges (= nodes) delivered; the latest node is n-1
+	retired int  // edges retired
+	exited  bool // the process has logged its exit node
+	// blocker is the live process whose latest node the head unretired
+	// edge still waits for (-1 when nothing is unretired): the head is
+	// re-tested only when the blocker advances.
+	blocker int
 }
 
 // Pipeline is the frontier race detector. Not safe for concurrent use:
@@ -136,12 +144,10 @@ type Pipeline struct {
 	cfg Config
 	b   *parallel.Builder
 
-	last    []*parallel.Event // latest node per process
-	exited  []bool            // process has logged its exit node
-	pending [][]*edgeRef      // unretired edges per process, FIFO
+	procs []procState
 
-	readers [][]*edgeRef // unretired reader edges per shared variable
-	writers [][]*edgeRef // unretired writer edges per shared variable
+	readers [][]edgeRef // unretired reader edges per shared variable
+	writers [][]edgeRef // unretired writer edges per shared variable
 
 	// seen marks pairs that already produced races, so a pair sharing
 	// several variables is classified once (the batch path classifies all
@@ -149,6 +155,9 @@ type Pipeline struct {
 	// count, not the pair count: ordered pairs never enter.
 	seen  map[pairKey]bool
 	races []*race.Race
+	// kept holds the copies of the edges races refer to: the builder's
+	// storage is released as the frontier passes.
+	kept map[edgeRef]*parallel.InternalEdge
 
 	width    int // unretired edges now
 	result   *Result
@@ -161,8 +170,9 @@ func New(cfg Config) *Pipeline {
 	p := &Pipeline{
 		cfg:     cfg,
 		seen:    make(map[pairKey]bool),
-		readers: make([][]*edgeRef, cfg.NShared),
-		writers: make([][]*edgeRef, cfg.NShared),
+		kept:    make(map[edgeRef]*parallel.InternalEdge),
+		readers: make([][]edgeRef, cfg.NShared),
+		writers: make([][]edgeRef, cfg.NShared),
 	}
 	p.b = parallel.NewStreamBuilder(cfg.NShared, p)
 	return p
@@ -180,9 +190,10 @@ func (p *Pipeline) Feed(batch []parallel.FeedRecord) {
 // and the internal edge it terminates. Order matters: the edge is checked
 // against the frontier *before* the node advances it — a frontier advanced
 // first could retire edges this edge still races with.
-func (p *Pipeline) OnSync(ev *parallel.Event, edge *parallel.InternalEdge, start *parallel.Event) {
+func (p *Pipeline) OnSync(pid, idx int) {
 	p.counters.Events++
-	er := &edgeRef{e: edge, start: start, end: ev}
+	er := edgeRef{int32(pid), int32(idx)}
+	edge := p.b.Edge(pid, idx)
 
 	// Stage 1: check against the unretired index, mask-pruned.
 	edge.Writes.ForEach(func(v int) {
@@ -202,47 +213,46 @@ func (p *Pipeline) OnSync(ev *parallel.Event, edge *parallel.InternalEdge, start
 	})
 
 	// Stage 2: join the frontier.
-	p.insert(er)
+	p.insert(er, edge)
 
 	// Stage 3: advance the frontier and retire what it passed.
-	pid := ev.PID
-	for pid >= len(p.last) {
-		p.last = append(p.last, nil)
-		p.exited = append(p.exited, false)
-		p.pending = append(p.pending, nil)
+	ps := &p.procs[pid]
+	ps.n = idx + 1
+	if p.b.Event(pid, idx).Kind == logging.RecExit {
+		ps.exited = true
 	}
-	p.last[pid] = ev
-	if ev.Kind == logging.RecExit {
-		p.exited[pid] = true
-	}
-	p.retire()
+	p.retire(pid)
 }
 
 // checkAgainst tests er against every edge in bucket (same-process pairs
 // and already-classified pairs skip early).
-func (p *Pipeline) checkAgainst(bucket []*edgeRef, er *edgeRef) {
+func (p *Pipeline) checkAgainst(bucket []edgeRef, er edgeRef) {
 	for _, other := range bucket {
-		if other.e.PID == er.e.PID {
+		if other.pid == er.pid {
 			continue
 		}
 		p.counters.Pairs++
-		if !simultaneous(other, er) {
+		if !p.simultaneous(other, er) {
 			continue
 		}
 		// Canonical orientation: (PID, local index) order is final global
 		// ID order, since global IDs are contiguous per process in pid
 		// order.
 		a, b := other, er
-		if a.e.PID > b.e.PID || (a.e.PID == b.e.PID && a.e.ID > b.e.ID) {
+		if a.pid > b.pid || (a.pid == b.pid && a.idx > b.idx) {
 			a, b = b, a
 		}
-		key := pairKey{a.e.PID, a.e.ID, b.e.PID, b.e.ID}
+		key := pairKey{a, b}
 		if p.seen[key] {
 			continue
 		}
-		rs := race.CheckOrientedPair(a.e, b.e, p.cfg.VarNames)
+		rs := race.CheckOrientedPair(p.b.Edge(int(a.pid), int(a.idx)), p.b.Edge(int(b.pid), int(b.idx)), p.cfg.VarNames)
 		if len(rs) == 0 {
 			continue // unreachable via a shared bucket, kept for safety
+		}
+		ea, eb := p.keep(a), p.keep(b)
+		for _, r := range rs {
+			r.E1, r.E2 = ea, eb
 		}
 		p.seen[key] = true
 		p.races = append(p.races, rs...)
@@ -260,82 +270,125 @@ func (p *Pipeline) checkAgainst(bucket []*edgeRef, er *edgeRef) {
 	}
 }
 
-// insert adds er to the per-variable index and its process's pending
-// queue.
-func (p *Pipeline) insert(er *edgeRef) {
-	er.e.Writes.ForEach(func(v int) {
+// keep returns the pipeline's own copy of a race-retained edge.
+func (p *Pipeline) keep(r edgeRef) *parallel.InternalEdge {
+	if e, ok := p.kept[r]; ok {
+		return e
+	}
+	e := *p.b.Edge(int(r.pid), int(r.idx))
+	e.Reads, e.Writes = *e.Reads.Clone(), *e.Writes.Clone()
+	p.kept[r] = &e
+	return &e
+}
+
+// simultaneous is Definition 6.1 over edge refs: neither edge's end node
+// happens-before the other's start node. Cross-process edges never share
+// nodes, so the batch EdgeHB's same-node shortcut cannot apply; edge 0 of
+// a process has no start node, and nothing precedes it.
+func (p *Pipeline) simultaneous(x, y edgeRef) bool {
+	if y.idx > 0 && p.b.HappensBefore(int(x.pid), int(x.idx), int(y.pid), int(y.idx-1)) {
+		return false
+	}
+	if x.idx > 0 && p.b.HappensBefore(int(y.pid), int(y.idx), int(x.pid), int(x.idx-1)) {
+		return false
+	}
+	return true
+}
+
+// insert adds er to the per-variable index; its process's unretired range
+// grows by the caller's advance.
+func (p *Pipeline) insert(er edgeRef, e *parallel.InternalEdge) {
+	e.Writes.ForEach(func(v int) {
 		if p.cfg.Mask == nil || p.cfg.Mask.Has(v) {
 			p.writers[v] = append(p.writers[v], er)
 		}
 	})
-	er.e.Reads.ForEach(func(v int) {
+	e.Reads.ForEach(func(v int) {
 		if p.cfg.Mask == nil || p.cfg.Mask.Has(v) {
 			p.readers[v] = append(p.readers[v], er)
 		}
 	})
-	pid := er.e.PID
-	for pid >= len(p.pending) {
-		p.last = append(p.last, nil)
-		p.exited = append(p.exited, false)
-		p.pending = append(p.pending, nil)
+	for int(er.pid) >= len(p.procs) {
+		p.procs = append(p.procs, procState{blocker: -1})
 	}
-	p.pending[pid] = append(p.pending[pid], er)
 	p.width++
 	if int64(p.width) > p.counters.Highwater {
 		p.counters.Highwater = int64(p.width)
 	}
 }
 
-// retire pops every process's pending queue while the head is behind the
-// frontier: an edge retires once its end node happens-before every live
-// process's latest node (processes spawned later chain through a live
-// ancestor's future spawn, so they cannot reach back behind the cut).
-func (p *Pipeline) retire() {
-	for q := range p.pending {
-		for len(p.pending[q]) > 0 && p.retireable(q, p.pending[q][0]) {
-			er := p.pending[q][0]
-			p.pending[q][0] = nil // release the ref promptly
-			p.pending[q] = p.pending[q][1:]
-			p.remove(er)
-			p.width--
-			p.counters.Retired++
+// retire runs after process pid's latest node advanced: an edge retires
+// once its end node happens-before every live process's latest node
+// (processes spawned later chain through a live ancestor's future spawn,
+// so they cannot reach back behind the cut). Only heads that pid was
+// blocking can have become retirable — plus pid's own head, if the new
+// edge is it — so only those are re-tested, in pid order.
+func (p *Pipeline) retire(pid int) {
+	for q := range p.procs {
+		qs := &p.procs[q]
+		if qs.blocker == pid || (q == pid && qs.blocker < 0) {
+			p.retireHead(q)
 		}
 	}
 }
 
-// retireable reports whether every live process other than q has advanced
-// past er's end node.
-func (p *Pipeline) retireable(q int, er *edgeRef) bool {
-	for r, lastEv := range p.last {
-		if r == q || lastEv == nil || p.exited[r] {
+// retireHead pops process q's unretired edges while the head is behind
+// the frontier, records what blocks the next head, and releases the
+// builder's nodes no unretired edge needs (the head's start node and
+// later stay).
+func (p *Pipeline) retireHead(q int) {
+	qs := &p.procs[q]
+	qs.blocker = -1
+	start := qs.retired
+	for qs.retired < qs.n {
+		if r := p.blockerOf(q, qs.retired); r >= 0 {
+			qs.blocker = r
+			break
+		}
+		p.remove(edgeRef{int32(q), int32(qs.retired)})
+		qs.retired++
+		p.width--
+		p.counters.Retired++
+	}
+	if qs.retired > start {
+		p.b.Release(q, qs.retired-1)
+	}
+}
+
+// blockerOf returns a live process other than q that has not advanced
+// past q's node idx, or -1 when every one has.
+func (p *Pipeline) blockerOf(q, idx int) int {
+	for r := range p.procs {
+		rs := &p.procs[r]
+		if r == q || rs.n == 0 || rs.exited {
 			continue
 		}
-		if !happensBefore(er.end, lastEv) {
-			return false
+		if !p.b.HappensBefore(q, idx, r, rs.n-1) {
+			return r
 		}
 	}
-	return true
+	return -1
 }
 
 // remove deletes er from the per-variable index (swap-remove; bucket
 // order is not part of the contract — the final set is canonicalized).
-func (p *Pipeline) remove(er *edgeRef) {
-	del := func(bucket []*edgeRef) []*edgeRef {
+func (p *Pipeline) remove(er edgeRef) {
+	del := func(bucket []edgeRef) []edgeRef {
 		for i, x := range bucket {
 			if x == er {
 				bucket[i] = bucket[len(bucket)-1]
-				bucket[len(bucket)-1] = nil
 				return bucket[:len(bucket)-1]
 			}
 		}
 		return bucket
 	}
-	er.e.Writes.ForEach(func(v int) {
+	e := p.b.Edge(int(er.pid), int(er.idx))
+	e.Writes.ForEach(func(v int) {
 		if p.cfg.Mask == nil || p.cfg.Mask.Has(v) {
 			p.writers[v] = del(p.writers[v])
 		}
 	})
-	er.e.Reads.ForEach(func(v int) {
+	e.Reads.ForEach(func(v int) {
 		if p.cfg.Mask == nil || p.cfg.Mask.Has(v) {
 			p.readers[v] = del(p.readers[v])
 		}
@@ -353,28 +406,18 @@ func (p *Pipeline) Finish() *Result {
 	p.finished = true
 	p.b.Flush()
 
-	evCounts, edgeCounts := p.b.Counts()
-	evOff := make([]int, len(evCounts))
-	edgeOff := make([]int, len(edgeCounts))
-	for i := 1; i < len(evCounts); i++ {
-		evOff[i] = evOff[i-1] + evCounts[i-1]
-		edgeOff[i] = edgeOff[i-1] + edgeCounts[i-1]
+	counts := p.b.Counts()
+	off := make([]int, len(counts))
+	for i := 1; i < len(counts); i++ {
+		off[i] = off[i-1] + counts[i-1]
 	}
-	renumbered := make(map[*parallel.InternalEdge]bool)
-	patch := func(e *parallel.InternalEdge) {
-		if renumbered[e] {
-			return
-		}
-		renumbered[e] = true
-		e.ID += edgeOff[e.PID]
+	for _, e := range p.kept {
+		o := off[e.PID]
+		e.ID += o
 		if e.Start >= 0 {
-			e.Start += parallel.EventID(evOff[e.PID])
+			e.Start += parallel.EventID(o)
 		}
-		e.End += parallel.EventID(evOff[e.PID])
-	}
-	for _, r := range p.races {
-		patch(r.E1)
-		patch(r.E2)
+		e.End += parallel.EventID(o)
 	}
 	p.counters.Races = race.Canonicalize(p.races)
 	p.result = &p.counters
@@ -390,47 +433,13 @@ func (p *Pipeline) Finish() *Result {
 	return p.result
 }
 
-// clockAt reads a growable clock with implicit zeros: a streaming node's
-// clock only reaches as far as the processes it has heard from, which is
-// exactly the batch clock with the trailing zeros elided.
-func clockAt(c []int, i int) int {
-	if i < len(c) {
-		return c[i]
+// Retained returns the clock-row entries and set words the pipeline holds:
+// the builder's node storage plus the copies of race-retained edges. It
+// is the live state the frontier bounds.
+func (p *Pipeline) Retained() int {
+	n := p.b.Retained()
+	for _, e := range p.kept {
+		n += 2 * bitset.Words(e.Reads.Len())
 	}
-	return 0
-}
-
-func clocksEqual(a, b []int) bool {
-	n := len(a)
-	if len(b) > n {
-		n = len(b)
-	}
-	for i := 0; i < n; i++ {
-		if clockAt(a, i) != clockAt(b, i) {
-			return false
-		}
-	}
-	return true
-}
-
-// happensBefore is parallel.Graph.HappensBefore over growable clocks.
-func happensBefore(a, b *parallel.Event) bool {
-	if clockAt(a.Clock, a.PID) > clockAt(b.Clock, a.PID) {
-		return false
-	}
-	return !clocksEqual(a.Clock, b.Clock)
-}
-
-// simultaneous is Definition 6.1 over edge refs: neither edge's end node
-// happens-before the other's start node. Cross-process edges never share
-// nodes, so the batch EdgeHB's same-node shortcut cannot apply; a nil
-// start is a process's initial edge, which nothing precedes.
-func simultaneous(x, y *edgeRef) bool {
-	if y.start != nil && happensBefore(x.end, y.start) {
-		return false
-	}
-	if x.start != nil && happensBefore(y.end, x.start) {
-		return false
-	}
-	return true
+	return n
 }

@@ -3,6 +3,7 @@ package stream_test
 import (
 	"fmt"
 	"io"
+	"strings"
 	"testing"
 
 	"ppd/internal/bitset"
@@ -227,4 +228,80 @@ func FuzzStreamBatches(f *testing.F) {
 			t.Errorf("batch partition %v diverges:\n got: %swant: %s", sizes, got, want)
 		}
 	})
+}
+
+// TestStreamLiveStateBounded pins stream mode's memory contract on the
+// storage itself, not only the edge count TestFrontierRetirement checks:
+// doubling relay's rounds leaves the clock rows and set words the builder
+// and pipeline retain within 1.25×, because retired nodes are released and
+// their columns compacted.
+func TestStreamLiveStateBounded(t *testing.T) {
+	retained := func(rounds int) (int, int64) {
+		wl := workloads.Relay(4, rounds)
+		cr := captureRun(t, wl.Name+".mpl", wl.Src, 1, 7)
+		p := stream.New(stream.Config{NShared: len(cr.art.Prog.Globals), Mask: cr.mask, VarNames: cr.names})
+		feedBatches(p, cr.recs, 64)
+		res := p.Finish()
+		return p.Retained(), res.Events
+	}
+	short, nShort := retained(150)
+	long, nLong := retained(300)
+	if nLong < 2*nShort-nShort/10 {
+		t.Fatalf("relay-4x300 streams %d events vs %d: not enough growth to tell", nLong, nShort)
+	}
+	if float64(long) > 1.25*float64(short) {
+		t.Errorf("retained storage grows with the run: %d words over %d events, %d over %d", short, nShort, long, nLong)
+	}
+	t.Logf("retained: %d words (%d events), %d words (%d events)", short, nShort, long, nLong)
+}
+
+// TestStreamOldSourceOutlivesCompaction pins the side slab: main signals
+// s (a remembered 0→1 V) and then relays sixty rounds with the worker, so
+// the frontier passes the V and main's columns are compacted. The
+// worker's final P(s) still pairs with that V, whose clock row must have
+// moved to the side slab; its write then races with main's last one, and
+// the online race set must equal the batch oracle's.
+func TestStreamOldSourceOutlivesCompaction(t *testing.T) {
+	src := `
+shared x;
+sem s = 0;
+chan ab;
+chan ba;
+func w() {
+	var i = 0;
+	while (i < 60) {
+		var r = recv(ab);
+		send(ba, r);
+		i = i + 1;
+	}
+	P(s);
+	x = 2;
+}
+func main() {
+	spawn w();
+	V(s);
+	var i = 0;
+	while (i < 60) {
+		send(ab, i);
+		var r = recv(ba);
+		i = i + 1;
+	}
+	x = 1;
+}`
+	for _, q := range []int{1, 5, 40} {
+		cr := captureRun(t, "oldsource.mpl", src, 1, q)
+		want := race.Report(race.IndexedMasked(cr.oracleGraph(), cr.mask, nil), nil)
+		if !strings.Contains(want, "write/write") {
+			t.Fatalf("quantum %d: the oracle finds no race on x:\n%s", q, want)
+		}
+		for _, b := range []int{1, 64} {
+			res := onlineResult(cr, b)
+			if got := race.Report(res.Races, nil); got != want {
+				t.Errorf("quantum %d batch %d: online diverges:\n got: %swant: %s", q, b, got, want)
+			}
+			if res.Retired < res.Events/2 {
+				t.Errorf("quantum %d batch %d: only %d of %d edges retired; the V was never compacted away", q, b, res.Retired, res.Events)
+			}
+		}
+	}
 }

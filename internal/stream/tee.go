@@ -21,6 +21,7 @@ type Tee struct {
 	pipe      *Pipeline
 	batchSize int
 	batch     []parallel.FeedRecord
+	ints      []int // backs the current batch's Reads/Writes copies
 	ch        chan []parallel.FeedRecord
 	done      chan struct{}
 	closed    bool
@@ -54,7 +55,8 @@ func (t *Tee) run() {
 // Tap is the logging.Tap: install it via vm.Options.Tap. It filters the
 // sync-relevant kinds (everything else only advances the record index,
 // which FeedRecord.RecIdx already carries) and copies the fields the
-// builder needs — the record itself is recycled when this returns.
+// builder needs — the record itself is recycled when this returns. The
+// read/write lists are copied into one arena per batch, not a slice each.
 func (t *Tee) Tap(pid, idx int, r *logging.Record) {
 	switch r.Kind {
 	case logging.RecSync, logging.RecStart, logging.RecExit:
@@ -70,12 +72,24 @@ func (t *Tee) Tap(pid, idx int, r *logging.Record) {
 		Stmt:    r.Stmt,
 		Gsn:     r.Gsn,
 		FromGsn: r.FromGsn,
-		Reads:   append([]int(nil), r.Reads...),
-		Writes:  append([]int(nil), r.Writes...),
+		Reads:   t.copyInts(r.Reads),
+		Writes:  t.copyInts(r.Writes),
 	})
 	if len(t.batch) >= t.batchSize {
 		t.flush()
 	}
+}
+
+// copyInts copies xs into the batch's arena (cap == len, so a carve never
+// grows into its neighbour). A grown arena leaves earlier carves in the
+// old array, which the batch still references.
+func (t *Tee) copyInts(xs []int) []int {
+	if len(xs) == 0 {
+		return nil
+	}
+	n := len(t.ints)
+	t.ints = append(t.ints, xs...)
+	return t.ints[n : n+len(xs) : n+len(xs)]
 }
 
 func (t *Tee) flush() {
@@ -84,6 +98,7 @@ func (t *Tee) flush() {
 	}
 	t.ch <- t.batch
 	t.batch = make([]parallel.FeedRecord, 0, t.batchSize)
+	t.ints = make([]int, 0, cap(t.ints))
 }
 
 // Close flushes the final partial batch and waits for the feeding
