@@ -5,7 +5,7 @@
 
 GO ?= go
 
-.PHONY: all build test race vet fmt check cover ci bench bench-smoke examples-smoke log-check pardebug obsoverhead execlog vet-mpl vetprune compilecache cache-check fusion-check absint-check dispatch serve serve-smoke stream stream-smoke emu-check debug graph-check
+.PHONY: all build test race vet fmt check cover ci bench bench-smoke examples-smoke log-check vet-mpl cache-check fusion-check absint-check serve-smoke stream-smoke emu-check graph-check
 
 all: build
 
@@ -117,17 +117,14 @@ examples-smoke: build
 # be byte-identical to the fresh-VM generic oracle across the golden
 # matrix (fused and unfused), pooled contexts must actually recycle,
 # checkpointed ReplayTo must equal the from-scratch fold at every record
-# boundary, and the E22 bench must run end to end (tiny -smoke version,
-# no BENCH file written).
+# boundary, and a short perfbench inspect run must drive pooled emulation
+# and checkpointed ReplayTo end to end with every answer checked against
+# its reference (perfbench prints {"correct":true,...} last only then).
 emu-check: build
 	$(GO) test -run 'TestEmuDispatchByteIdentical|TestPoolReuseObservable|TestEmulateIntoRecycles|TestEmulateConcurrentWidths' ./internal/emulation/
 	$(GO) test -run 'TestReplayTo' ./internal/controller/
-	$(GO) run ./cmd/ppdbench debug -smoke
+	bash perfbench/run.sh --workload inspect --seed 1 --seconds 1 | tail -1 | grep -q '^{"correct":true'
 	@echo "emu-check: OK"
-
-# Regenerate the E22 debugging-phase fast-path table (writes BENCH_debug.json).
-debug: build
-	$(GO) run ./cmd/ppdbench debug
 
 # Online-pipeline gate: a live monitored run end-to-end (ppd watch), the
 # early-abort path (run -first-race must flag the racy program with a
@@ -140,20 +137,12 @@ stream-smoke: build
 	$(GO) test -run TestOnlineRacesByteIdentical ./internal/stream/
 	@echo "stream-smoke: OK"
 
-# Regenerate the E20 streaming-analysis table (writes BENCH_stream.json).
-stream: build
-	$(GO) run ./cmd/ppdbench stream
-
 # Daemon liveness gate: start `ppd serve` on an ephemeral port, drive one
 # session through the whole HTTP surface (create → races → flowback →
 # what-if → metrics → delete), and shut down cleanly.
 serve-smoke: build
 	$(GO) run ./cmd/ppd serve -smoke
 	@echo "serve-smoke: OK"
-
-# Regenerate the E19 serving-daemon load-test table (writes BENCH_serve.json).
-serve: build
-	$(GO) run ./cmd/ppdbench serve
 
 bench:
 	$(GO) test -bench=. -benchmem .
@@ -162,30 +151,6 @@ bench:
 # without paying for stable timings.
 bench-smoke:
 	$(GO) test -run '^$$' -bench=. -benchtime=1x ./...
-
-# Regenerate the E13 parallel-debugging-phase table.
-pardebug: build
-	$(GO) run ./cmd/ppdbench pardebug
-
-# Regenerate the E14 observability-overhead table.
-obsoverhead: build
-	$(GO) run ./cmd/ppdbench obsoverhead
-
-# Regenerate the E15 execution-hot-path table (writes BENCH_exec.json).
-execlog: build
-	$(GO) run ./cmd/ppdbench execlog
-
-# Regenerate the E16 static-pruning table (writes BENCH_analysis.json).
-vetprune: build
-	$(GO) run ./cmd/ppdbench vetprune
-
-# Regenerate the E17 compile-cache table (writes BENCH_compile.json).
-compilecache: build
-	$(GO) run ./cmd/ppdbench compilecache
-
-# Regenerate the E18 dispatch table (writes BENCH_dispatch.json).
-dispatch: build
-	$(GO) run ./cmd/ppdbench dispatch
 
 # Cache correctness gate: a warm cached compile must be observationally
 # identical to a fresh one (execution log bytes, program output, vet

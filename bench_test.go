@@ -1,5 +1,6 @@
 // Top-level benchmarks: one testing.B target per experiment in DESIGN.md's
-// index (cmd/ppdbench prints the same results as formatted tables).
+// index. The end-to-end numbers (answer latency, log_slowdown) come from
+// perfbench (`bash perfbench/run.sh`).
 //
 //	go test -bench=. -benchmem
 package ppd
@@ -141,9 +142,11 @@ func BenchmarkEBlockGranularity(b *testing.B) {
 	} {
 		art := mustCompile(b, w, cfg.c)
 		b.Run(cfg.name, func(b *testing.B) {
+			var v *vm.VM
 			for i := 0; i < b.N; i++ {
-				runVM(b, art, vm.ModeLog)
+				v = runVM(b, art, vm.ModeLog)
 			}
+			b.ReportMetric(float64(v.Log.Stats().TotalRecords()), "log-records")
 		})
 	}
 }
@@ -166,19 +169,18 @@ func benchRaceDetector(b *testing.B, detect func(*parallel.Graph) []*race.Race) 
 	}
 }
 
-func BenchmarkRaceNaive(b *testing.B)   { benchRaceDetector(b, race.Naive) }
-func BenchmarkRaceIndexed(b *testing.B) { benchRaceDetector(b, race.Indexed) }
+func BenchmarkRaceNaive(b *testing.B) { benchRaceDetector(b, race.Naive) }
 
-// BenchmarkRaceParallel is E13's detector half: Indexed's per-variable
-// buckets sharded across a worker pool. Compare against BenchmarkRaceIndexed
-// at each worker count; on a multi-core machine w>=4 should beat it on
+// BenchmarkRaceDetect is E8's pruned detector and E13's detector half: the
+// per-variable buckets sharded across a worker pool (workers=1 is the
+// sequential scan). On a multi-core machine w>=4 should beat w=1 on
 // workloads.Sharded(8, 80), and the output race set is golden-identical
-// (TestDetectorsEquivalence).
-func BenchmarkRaceParallel(b *testing.B) {
+// at every width (TestDetectorsEquivalence).
+func BenchmarkRaceDetect(b *testing.B) {
 	for _, workers := range []int{1, 2, 4, 8} {
 		b.Run(fmt.Sprintf("workers=%d", workers), func(b *testing.B) {
 			benchRaceDetector(b, func(g *parallel.Graph) []*race.Race {
-				return race.Parallel(g, workers)
+				return race.Detect(g, race.Opts{Workers: workers})
 			})
 		})
 	}
@@ -267,15 +269,48 @@ func BenchmarkRestore(b *testing.B) {
 // --- E2 is a size, not a time: assert the shape as a benchmark-guarded test ---
 
 func BenchmarkLogVsTraceSize(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		for _, w := range workloads.Standard() {
-			art := mustCompile(b, w, eblock.DefaultConfig())
-			vLog := runVM(b, art, vm.ModeLog)
-			vTr := runVM(b, art, vm.ModeFullTrace)
+	for _, w := range workloads.Standard() {
+		art := mustCompile(b, w, eblock.DefaultConfig())
+		b.Run(w.Name, func(b *testing.B) {
+			var vLog, vTr *vm.VM
+			for i := 0; i < b.N; i++ {
+				vLog = runVM(b, art, vm.ModeLog)
+				vTr = runVM(b, art, vm.ModeFullTrace)
+			}
 			if vLog.Log.SizeBytes() >= vTr.Trace.SizeBytes() {
 				b.Fatalf("%s: log (%d B) not smaller than trace (%d B)",
 					w.Name, vLog.Log.SizeBytes(), vTr.Trace.SizeBytes())
 			}
+			b.ReportMetric(float64(vLog.Log.SizeBytes()), "log-bytes")
+			b.ReportMetric(float64(vTr.Trace.SizeBytes()), "trace-bytes")
+		})
+	}
+}
+
+// --- E12: shared-prelog cross-write filtering (§5.5 ablation) ---------------
+
+// BenchmarkShPrelogFilter is E12's ablation. The literal §5.5 compile
+// (CompileUnfiltered) logs every shared read at every sync unit; the
+// filtered one logs only variables another process may write. Each
+// sub-benchmark times logged runs and reports the log's size as log-bytes.
+func BenchmarkShPrelogFilter(b *testing.B) {
+	for _, w := range []*workloads.Workload{workloads.Matmul(16), workloads.TokenRing(4, 100), workloads.ProdCons(600)} {
+		filtered := mustCompile(b, w, eblock.DefaultConfig())
+		literal, err := compile.CompileUnfiltered(source.NewFile(w.Name, w.Src), eblock.DefaultConfig())
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, c := range []struct {
+			name string
+			art  *compile.Artifacts
+		}{{"filtered", filtered}, {"literal", literal}} {
+			b.Run(w.Name+"/"+c.name, func(b *testing.B) {
+				var v *vm.VM
+				for i := 0; i < b.N; i++ {
+					v = runVM(b, c.art, vm.ModeLog)
+				}
+				b.ReportMetric(float64(v.Log.SizeBytes()), "log-bytes")
+			})
 		}
 	}
 }
@@ -313,7 +348,7 @@ func BenchmarkObsOverhead(b *testing.B) {
 	g := parallel.Build(rv.Log, len(rart.Prog.Globals))
 	b.Run("race/obs=off", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			if rs := race.Parallel(g, 4); len(rs) != 0 {
+			if rs := race.Detect(g, race.Opts{Workers: 4}); len(rs) != 0 {
 				b.Fatal("sharded workload should be race-free")
 			}
 		}
@@ -321,7 +356,7 @@ func BenchmarkObsOverhead(b *testing.B) {
 	b.Run("race/obs=on", func(b *testing.B) {
 		sink := obs.New()
 		for i := 0; i < b.N; i++ {
-			if rs := race.ParallelObs(g, 4, sink); len(rs) != 0 {
+			if rs := race.Detect(g, race.Opts{Workers: 4, Obs: sink}); len(rs) != 0 {
 				b.Fatal("sharded workload should be race-free")
 			}
 		}

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"io"
+	"net/http"
 	"os"
 	"path/filepath"
 	"strings"
@@ -254,5 +255,23 @@ func main() { spawn w(); spawn w(); P(done); P(done); print(SV); }`)
 	}
 	if _, err := runVet([]string{"/nonexistent.mpl"}, &out); err == nil {
 		t.Error("expected error for missing file")
+	}
+}
+
+// TestNewHTTPServerTimeouts pins the daemon's connection deadlines: a
+// client trickling headers or parking an idle connection is cut off, while
+// responses stay unbounded so a long answer is never truncated.
+func TestNewHTTPServerTimeouts(t *testing.T) {
+	h := http.NewServeMux()
+	srv := newHTTPServer("127.0.0.1:0", h)
+	if srv.Addr != "127.0.0.1:0" || srv.Handler != h {
+		t.Errorf("addr/handler not wired: %q %v", srv.Addr, srv.Handler)
+	}
+	if srv.ReadHeaderTimeout <= 0 || srv.ReadTimeout <= 0 || srv.IdleTimeout <= 0 {
+		t.Errorf("read/idle deadlines unset: header %v, read %v, idle %v",
+			srv.ReadHeaderTimeout, srv.ReadTimeout, srv.IdleTimeout)
+	}
+	if srv.WriteTimeout != 0 {
+		t.Errorf("WriteTimeout = %v, want unset", srv.WriteTimeout)
 	}
 }

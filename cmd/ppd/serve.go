@@ -49,7 +49,7 @@ func cmdServe(args []string) error {
 	srv.Start()
 	defer srv.Close()
 
-	httpSrv := &http.Server{Addr: *addr, Handler: srv.Handler()}
+	httpSrv := newHTTPServer(*addr, srv.Handler())
 	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
 	defer stop()
 	errc := make(chan error, 1)
@@ -64,6 +64,29 @@ func cmdServe(args []string) error {
 		shutCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
 		defer cancel()
 		return httpSrv.Shutdown(shutCtx)
+	}
+}
+
+// Connection deadlines for the daemon's listener. A client that trickles
+// its headers or body, or parks an idle keep-alive connection, is cut off
+// instead of holding a connection forever.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = time.Minute
+	idleTimeout       = 2 * time.Minute
+)
+
+// newHTTPServer wraps handler in an http.Server with the daemon's read and
+// idle deadlines. WriteTimeout stays unset on purpose: it would bound the
+// whole response, and a long flowback or race answer must not be cut off
+// mid-write.
+func newHTTPServer(addr string, handler http.Handler) *http.Server {
+	return &http.Server{
+		Addr:              addr,
+		Handler:           handler,
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
 	}
 }
 
@@ -90,7 +113,7 @@ func serveSmoke(cfg server.Config) error {
 	if err != nil {
 		return err
 	}
-	httpSrv := &http.Server{Handler: srv.Handler()}
+	httpSrv := newHTTPServer("", srv.Handler())
 	go httpSrv.Serve(ln)
 	defer httpSrv.Close()
 	base := "http://" + ln.Addr().String()

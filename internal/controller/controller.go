@@ -18,7 +18,6 @@ import (
 	"sync"
 
 	"ppd/internal/ast"
-	"ppd/internal/bitset"
 	"ppd/internal/compile"
 	"ppd/internal/dynpdg"
 	"ppd/internal/emulation"
@@ -70,7 +69,8 @@ type Controller struct {
 	// Checkpointed state restoration (ReplayTo): every ckEvery-th record
 	// boundary's fold state is snapshotted per process, bounding a later
 	// restore to folding at most ckEvery records past the nearest
-	// checkpoint instead of the whole run prefix.
+	// checkpoint instead of the whole run prefix. It is always
+	// DefaultCheckpointEvery outside this package's tests.
 	ckEvery int
 	ckMu    sync.Mutex
 	ckpts   [][]ckpt
@@ -86,7 +86,6 @@ type Controller struct {
 	// runs at most once per controller.
 	races     []*race.Race
 	racesDone bool
-	noPrune   bool
 }
 
 // Config tunes a controller. The zero value reproduces the defaults the
@@ -106,39 +105,22 @@ type Config struct {
 	// Obs receives debugging-phase metrics (debug.*, sched.*, race.*).
 	// nil disables observation at the cost of one nil check per query.
 	Obs *obs.Sink
-	// NoStaticPrune disables the static conflict-mask filter in Races():
-	// the detector scans every per-variable bucket, as it did before the
-	// analysis package existed. The race set is identical either way (the
-	// mask over-approximates dynamic conflicts); the switch exists for
-	// ablation and benchmarking.
-	NoStaticPrune bool
-	// CheckpointEvery is the record spacing K between ReplayTo state
-	// checkpoints: 0 means DefaultCheckpointEvery, < 0 disables
-	// checkpointing (every restore folds from the run's start). Smaller K
-	// trades memory (more snapshots) for a tighter O(K) restore bound.
-	CheckpointEvery int
 }
 
 // NewWithConfig builds a controller from the compiled artifacts and an
-// execution's logs. Per-process work (emulator construction, the parallel
-// graph's pass 1) fans out across the configured worker pool.
+// execution's logs.
 func NewWithConfig(art *compile.Artifacts, pl *logging.ProgramLog, cfg Config) *Controller {
 	bound := cfg.CacheBound
 	if bound == 0 {
 		bound = DefaultCacheBound
-	}
-	ckEvery := cfg.CheckpointEvery
-	if ckEvery == 0 {
-		ckEvery = DefaultCheckpointEvery
 	}
 	c := &Controller{
 		Art:      art,
 		Log:      pl,
 		Failure:  cfg.Failure,
 		Deadlock: cfg.Deadlock,
-		noPrune:  cfg.NoStaticPrune,
 		cache:    newIntervalLRU(bound),
-		ckEvery:  ckEvery,
+		ckEvery:  DefaultCheckpointEvery,
 		ckpts:    make([][]ckpt, len(pl.Books)),
 	}
 	switch {
@@ -159,15 +141,14 @@ func NewWithConfig(art *compile.Artifacts, pl *logging.ProgramLog, cfg Config) *
 		c.tEmu = cfg.Obs.Timer("debug.emulate")
 	}
 	sc := c.obs.Scope("debug.build")
-	c.emus = sched.Map(c.pool, len(pl.Books), func(pid int) *emulation.Emulator {
-		return emulation.New(art.Prog, pl.Books[pid])
-	})
 	// One replay-context pool for every emulator, sized to the worker
 	// count: the prefetcher's concurrent emulations each get a context,
 	// but an idle controller retains at most this many pooled VMs.
 	c.epool = emulation.NewPool(art.Prog, max(2, c.pool.Workers()), cfg.Obs)
-	for _, em := range c.emus {
-		em.SetPool(c.epool)
+	c.emus = make([]*emulation.Emulator, len(pl.Books))
+	for pid, book := range pl.Books {
+		c.emus[pid] = emulation.New(art.Prog, book)
+		c.emus[pid].SetPool(c.epool)
 	}
 	c.pgraph = parallel.Build(pl, len(art.Prog.Globals))
 	names := make([]string, len(art.Prog.Globals))
@@ -243,24 +224,21 @@ func (c *Controller) Emulator(pid int) *emulation.Emulator { return c.emus[pid] 
 // Races runs the race detector over the execution (§6.4), sharded across
 // the worker pool, and memoizes the result: the parallel graph is immutable
 // post-run, so the detector runs at most once per controller. The race set
-// is identical to race.Indexed's (the detectors are golden-equivalent).
+// is identical at every worker count and to race.Naive's.
 //
-// Unless Config.NoStaticPrune is set, the detector is filtered by the
-// static conflict matrix of the program's vet result (Artifacts.Vet: the
-// persisted result on cache-loaded artifacts, otherwise computed once from
-// the compile-time abstract-interpretation facts): buckets of variables no
-// pair of processes can statically conflict on are skipped. The filter
+// The detector is filtered by the static conflict matrix of the program's
+// vet result (Artifacts.Vet: the persisted result on cache-loaded
+// artifacts, otherwise computed once from the compile-time
+// abstract-interpretation facts): buckets of variables no pair of
+// processes can statically conflict on are skipped. The filter
 // cannot change the result — the matrix over-approximates every dynamic
 // conflict — it only removes work.
 func (c *Controller) Races() []*race.Race {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if !c.racesDone {
-		var mask *bitset.Set
-		if !c.noPrune {
-			mask = c.Art.Vet(c.obs).Conflicts.Mask()
-		}
-		c.races = race.ParallelMasked(c.pgraph, c.pool.Workers(), mask, c.obs)
+		mask := c.Art.Vet(c.obs).Conflicts.Mask()
+		c.races = race.Detect(c.pgraph, race.Opts{Mask: mask, Workers: c.pool.Workers(), Obs: c.obs})
 		c.racesDone = true
 	}
 	return c.races

@@ -8,10 +8,11 @@ import (
 	"ppd/internal/replay"
 )
 
-// DefaultCheckpointEvery is the default record spacing between ReplayTo
-// state checkpoints. At K = 64 a checkpoint costs one shallow copy of the
-// global fold state per 64 records, and any restore folds at most 63
-// records past its seed — the sweet spot in the E22 sweep (BENCH_debug).
+// DefaultCheckpointEvery is the record spacing K between ReplayTo state
+// checkpoints. At K = 64 a checkpoint costs one shallow copy of the global
+// fold state per 64 records, and any restore folds at most 63 records past
+// its seed. Smaller K trades memory (more snapshots) for a tighter O(K)
+// restore bound; 64 was the sweet spot of E22's K sweep.
 const DefaultCheckpointEvery = 64
 
 // ckpt is one restoration checkpoint: the postlog fold state as of record
@@ -27,7 +28,7 @@ type ckpt struct {
 // ReplayTo rebuilds process pid's global state as of record index idx
 // (exclusive), like replay.RestoreAt, but seeded from the nearest
 // checkpoint at or below idx: once a prefix has been folded, any restore
-// into it costs O(CheckpointEvery) record folds instead of O(idx).
+// into it costs O(DefaultCheckpointEvery) record folds instead of O(idx).
 // Checkpoints encountered while folding are stored for later queries, so a
 // drive-to-fault scan (restore at 1, 2, 3, ...) is linear in the log, not
 // quadratic. idx is clamped to [0, len(records)].
@@ -41,9 +42,6 @@ func (c *Controller) ReplayTo(pid, idx int) (*replay.Snapshot, error) {
 	}
 	if idx > len(book.Records) {
 		idx = len(book.Records)
-	}
-	if c.ckEvery <= 0 {
-		return replay.RestoreAt(c.Art.Prog, book, idx), nil
 	}
 
 	// Seed from the greatest stored checkpoint at or below idx.

@@ -12,7 +12,9 @@ import (
 	"ppd/internal/workloads"
 )
 
-func replayToFixture(t *testing.T, cfg Config) (*Controller, *compile.Artifacts, *vm.VM) {
+// replayToFixture builds a controller over a prodcons run. ckEvery > 0
+// overrides the checkpoint spacing so short logs cross many boundaries.
+func replayToFixture(t *testing.T, ckEvery int, cfg Config) (*Controller, *compile.Artifacts, *vm.VM) {
 	t.Helper()
 	wl := workloads.ProdCons(60)
 	art, err := compile.CompileSource(wl.Name, wl.Src, eblock.DefaultConfig())
@@ -23,7 +25,11 @@ func replayToFixture(t *testing.T, cfg Config) (*Controller, *compile.Artifacts,
 	_ = v.Run()
 	cfg.Failure = v.Failure
 	cfg.Deadlock = v.Deadlock
-	return NewWithConfig(art, v.Log, cfg), art, v
+	c := NewWithConfig(art, v.Log, cfg)
+	if ckEvery > 0 {
+		c.ckEvery = ckEvery
+	}
+	return c, art, v
 }
 
 func diffSnapshots(t *testing.T, ctx string, got, want *replay.Snapshot) {
@@ -40,7 +46,7 @@ func diffSnapshots(t *testing.T, ctx string, got, want *replay.Snapshot) {
 // process, ascending, with a tiny checkpoint spacing: the checkpointed
 // restore must equal the from-scratch fold at each one.
 func TestReplayToMatchesRestoreAt(t *testing.T) {
-	c, art, v := replayToFixture(t, Config{CheckpointEvery: 3})
+	c, art, v := replayToFixture(t, 3, Config{})
 	for pid, book := range v.Log.Books {
 		for idx := 0; idx <= len(book.Records); idx++ {
 			got, err := c.ReplayTo(pid, idx)
@@ -57,7 +63,7 @@ func TestReplayToMatchesRestoreAt(t *testing.T) {
 // order on a fresh controller, so restores hit cold, partially warm, and
 // fully warm checkpoint states.
 func TestReplayToOutOfOrder(t *testing.T) {
-	c, art, v := replayToFixture(t, Config{CheckpointEvery: 4})
+	c, art, v := replayToFixture(t, 4, Config{})
 	for pid, book := range v.Log.Books {
 		n := len(book.Records)
 		order := []int{n, n / 2, n - 1, 1, n / 3, n / 2, 0, n}
@@ -75,9 +81,9 @@ func TestReplayToOutOfOrder(t *testing.T) {
 	}
 }
 
-// TestReplayToEdges pins clamping, the disabled mode, and bad pids.
+// TestReplayToEdges pins clamping and bad pids at the default spacing.
 func TestReplayToEdges(t *testing.T) {
-	c, art, v := replayToFixture(t, Config{CheckpointEvery: -1}) // disabled
+	c, art, v := replayToFixture(t, 0, Config{})
 	book := v.Log.Books[0]
 	got, err := c.ReplayTo(0, len(book.Records)+5) // clamped
 	if err != nil {
@@ -98,7 +104,7 @@ func TestReplayToEdges(t *testing.T) {
 // that the emulation pool's counters reach the controller's sink.
 func TestReplayToCounters(t *testing.T) {
 	sink := obs.New()
-	c, _, v := replayToFixture(t, Config{CheckpointEvery: 4, Obs: sink})
+	c, _, v := replayToFixture(t, 4, Config{Obs: sink})
 	book := v.Log.Books[0]
 	n := len(book.Records)
 	for idx := 0; idx <= n; idx++ {

@@ -59,11 +59,6 @@ type Emulator struct {
 	Prog *bytecode.Program
 	Book *logging.Book
 
-	// Generic forces every Emulate through a fresh VM driven by the
-	// generic instruction loop — the byte-identity oracle the pooled
-	// fast-dispatch path is pinned against in tests and benchmarks.
-	Generic bool
-
 	// pool supplies reusable replay contexts. New installs a private
 	// bounded pool; the controller replaces it with one shared across all
 	// per-process emulators (SetPool).
@@ -201,9 +196,6 @@ func (e *Emulator) EmulateTo(prelogIdx int, res *Result, sink trace.Consumer) er
 		return err
 	}
 	e.runs.Add(1)
-	if e.Generic {
-		return e.emulateGeneric(prelogIdx, pre, res, sink)
-	}
 	meta := e.Prog.Blocks[pre.Block]
 	fn := e.Prog.Funcs[meta.FuncIdx]
 
@@ -281,52 +273,6 @@ func (e *Emulator) EmulateTo(prelogIdx int, res *Result, sink trace.Consumer) er
 	ctx.slots = slots
 	ctx.cover = cover
 	e.pool.put(ctx)
-	return nil
-}
-
-// emulateGeneric is the original Emulate body, kept as the oracle: a fresh
-// VM per call, generic single-step dispatch, no pooled state anywhere.
-func (e *Emulator) emulateGeneric(prelogIdx int, pre *logging.Record, res *Result, sink trace.Consumer) error {
-	meta := e.Prog.Blocks[pre.Block]
-	fn := e.Prog.Funcs[meta.FuncIdx]
-
-	machine := vm.New(e.Prog, vm.Options{Mode: vm.ModeEmulate, EmuGeneric: true})
-	h := &hooks{
-		em:      e,
-		machine: machine,
-		cursor:  prelogIdx + 1,
-		root:    int(pre.Block),
-	}
-	machine.SetHooks(h)
-
-	// Build the initial frame from the prelog.
-	slots := make([]vm.Value, fn.NumSlots)
-	for slot, val := range pre.Locals.All() {
-		if slot < len(slots) {
-			slots[slot] = val.Clone()
-		}
-	}
-	startPC := meta.PrelogPC + 1
-	if meta.Kind == bytecode.BlockFunc {
-		startPC = fn.PrelogPCAt(int(pre.Block)) + 1
-	}
-	proc := machine.StartEmuProc(fn, slots, startPC)
-	proc.Tbuf.Sink = sink
-
-	// Used globals from the prelog.
-	for gid, val := range pre.Globals.All() {
-		machine.Globals[gid] = val.Clone()
-	}
-
-	runErr := machine.RunEmu(proc)
-	res.Trace = proc.Tbuf
-	if sink != nil {
-		res.Trace = nil
-	}
-	res.Globals = machine.Snapshot()
-	res.RecordsConsumed = h.cursor - prelogIdx
-	res.Completed = h.sawRootPostlog
-	res.Err = runErr
 	return nil
 }
 

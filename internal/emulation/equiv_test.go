@@ -46,6 +46,67 @@ func equivCases() []struct {
 	}
 }
 
+// emulateGeneric is the oracle the pooled fast path is pinned against: the
+// original Emulate body, with a fresh VM per call, generic single-step
+// dispatch (vm.Options.EmuGeneric) and no pooled state anywhere. A nil
+// sink stores the trace in res.Trace; otherwise every event goes to sink.
+func emulateGeneric(e *Emulator, prelogIdx int, res *Result, sink trace.Consumer) error {
+	pre, err := e.prelog(prelogIdx)
+	if err != nil {
+		return err
+	}
+	meta := e.Prog.Blocks[pre.Block]
+	fn := e.Prog.Funcs[meta.FuncIdx]
+
+	machine := vm.New(e.Prog, vm.Options{Mode: vm.ModeEmulate, EmuGeneric: true})
+	h := &hooks{
+		em:      e,
+		machine: machine,
+		cursor:  prelogIdx + 1,
+		root:    int(pre.Block),
+	}
+	machine.SetHooks(h)
+
+	// Build the initial frame from the prelog.
+	slots := make([]vm.Value, fn.NumSlots)
+	for slot, val := range pre.Locals.All() {
+		if slot < len(slots) {
+			slots[slot] = val.Clone()
+		}
+	}
+	startPC := meta.PrelogPC + 1
+	if meta.Kind == bytecode.BlockFunc {
+		startPC = fn.PrelogPCAt(int(pre.Block)) + 1
+	}
+	proc := machine.StartEmuProc(fn, slots, startPC)
+	proc.Tbuf.Sink = sink
+
+	// Used globals from the prelog.
+	for gid, val := range pre.Globals.All() {
+		machine.Globals[gid] = val.Clone()
+	}
+
+	runErr := machine.RunEmu(proc)
+	res.Trace = proc.Tbuf
+	if sink != nil {
+		res.Trace = nil
+	}
+	res.Globals = machine.Snapshot()
+	res.RecordsConsumed = h.cursor - prelogIdx
+	res.Completed = h.sawRootPostlog
+	res.Err = runErr
+	return nil
+}
+
+// oracleEmulate is Emulate through the generic oracle.
+func oracleEmulate(e *Emulator, prelogIdx int) (*Result, error) {
+	res := &Result{}
+	if err := emulateGeneric(e, prelogIdx, res, nil); err != nil {
+		return nil, err
+	}
+	return res, nil
+}
+
 // prelogIdxs returns up to limit prelog record indices of the book, evenly
 // strided (keeping the first and last) so long books stay cheap to sweep.
 func prelogIdxs(book *logging.Book, limit int) []int {
@@ -116,11 +177,9 @@ func TestEmuDispatchByteIdentical(t *testing.T) {
 				_ = v.Run()
 				for pid, book := range v.Log.Books {
 					fast := New(art.Prog, book)
-					oracle := New(art.Prog, book)
-					oracle.Generic = true
 					for _, idx := range prelogIdxs(book, 64) {
 						fres, ferr := fast.Emulate(idx)
-						ores, oerr := oracle.Emulate(idx)
+						ores, oerr := oracleEmulate(fast, idx)
 						if errString(ferr) != errString(oerr) {
 							t.Fatalf("pid %d idx %d: call error diverges: fast %v, oracle %v", pid, idx, ferr, oerr)
 						}
@@ -163,11 +222,9 @@ func FuzzEmuEquivalence(f *testing.F) {
 		_ = v.Run()
 		for pid, book := range v.Log.Books {
 			fast := New(art.Prog, book)
-			oracle := New(art.Prog, book)
-			oracle.Generic = true
 			for _, idx := range prelogIdxs(book, 16) {
 				fres, ferr := fast.Emulate(idx)
-				ores, oerr := oracle.Emulate(idx)
+				ores, oerr := oracleEmulate(fast, idx)
 				if errString(ferr) != errString(oerr) {
 					t.Fatalf("pid %d idx %d: call error diverges: fast %v, oracle %v", pid, idx, ferr, oerr)
 				}
@@ -236,14 +293,12 @@ func TestEmulateIntoRecycles(t *testing.T) {
 
 	book := v.Log.Books[0]
 	em := New(art.Prog, book)
-	oracle := New(art.Prog, book)
-	oracle.Generic = true
 	res := &Result{}
 	for _, idx := range prelogIdxs(book, 32) {
 		if err := em.EmulateInto(idx, res); err != nil {
 			t.Fatalf("idx %d: %v", idx, err)
 		}
-		want, err := oracle.Emulate(idx)
+		want, err := oracleEmulate(em, idx)
 		if err != nil {
 			t.Fatalf("idx %d oracle: %v", idx, err)
 		}
@@ -269,10 +324,9 @@ func TestEmulateConcurrentWidths(t *testing.T) {
 	oracle := make(map[job]*Result)
 	for pid, book := range v.Log.Books {
 		og := New(art.Prog, book)
-		og.Generic = true
 		for _, idx := range prelogIdxs(book, 8) {
 			j := job{pid, idx}
-			want, err := og.Emulate(idx)
+			want, err := oracleEmulate(og, idx)
 			if err != nil {
 				t.Fatalf("oracle pid %d idx %d: %v", pid, idx, err)
 			}
@@ -342,17 +396,22 @@ func TestEmulateToStreamsTrace(t *testing.T) {
 		v := vm.New(art.Prog, vm.Options{Mode: vm.ModeLog, Seed: c.seed, Quantum: c.quantum})
 		_ = v.Run()
 		for pid, book := range v.Log.Books {
+			em := New(art.Prog, book)
 			for _, generic := range []bool{false, true} {
-				em := New(art.Prog, book)
-				em.Generic = generic
+				emulateTo := em.EmulateTo
+				if generic {
+					emulateTo = func(idx int, res *Result, sink trace.Consumer) error {
+						return emulateGeneric(em, idx, res, sink)
+					}
+				}
 				res := &Result{}
 				for _, idx := range prelogIdxs(book, 8) {
-					want, err := em.Emulate(idx)
-					if err != nil {
+					want := &Result{}
+					if err := emulateTo(idx, want, nil); err != nil {
 						t.Fatalf("P%d idx %d: %v", pid+1, idx, err)
 					}
 					var rec recorder
-					if err := em.EmulateTo(idx, res, &rec); err != nil {
+					if err := emulateTo(idx, res, &rec); err != nil {
 						t.Fatalf("P%d idx %d: stream: %v", pid+1, idx, err)
 					}
 					where := fmt.Sprintf("%s P%d idx %d generic=%t", c.name, pid+1, idx, generic)

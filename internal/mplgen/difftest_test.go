@@ -152,7 +152,7 @@ func checkProgram(t *testing.T, seed int64, src string, parallelMode bool) {
 	// 5. Race detectors agree.
 	if parallelMode {
 		g := parallel.Build(vLog.Log, len(inst.Prog.Globals))
-		naive, indexed := race.Naive(g), race.Indexed(g)
+		naive, indexed := race.Naive(g), race.Detect(g, race.Opts{Workers: 1})
 		if len(naive) != len(indexed) {
 			t.Errorf("seed %d: naive=%d indexed=%d races", seed, len(naive), len(indexed))
 		}
@@ -186,7 +186,7 @@ func TestGeneratedRacyPrograms(t *testing.T) {
 			t.Fatalf("seed %d: %v", seed, err)
 		}
 		g := parallel.Build(v.Log, len(art.Prog.Globals))
-		naive, indexed := race.Naive(g), race.Indexed(g)
+		naive, indexed := race.Naive(g), race.Detect(g, race.Opts{Workers: 1})
 		if len(indexed) == 0 {
 			t.Errorf("seed %d: unsynchronized workers must race\n%s", seed, src)
 			continue

@@ -38,8 +38,8 @@ func renderAll(rs []*Race) string {
 }
 
 // TestMaskedEquivalentToUnfiltered pins the static filter's soundness
-// end to end: on every workload and seed, the masked Indexed and Parallel
-// detectors report byte-identical races to the unfiltered Indexed.
+// end to end: on every workload and seed, the masked detector, sequential
+// and sharded, reports byte-identical races to the unfiltered one.
 func TestMaskedEquivalentToUnfiltered(t *testing.T) {
 	for _, wl := range pruneCases() {
 		for _, seed := range []int64{0, 3} {
@@ -54,14 +54,12 @@ func TestMaskedEquivalentToUnfiltered(t *testing.T) {
 			g := parallel.Build(v.Log, len(art.Prog.Globals))
 			mask := analysis.Analyze(art.PDG, art.Prog, nil).Conflicts.Mask()
 
-			want := renderAll(Indexed(g))
-			if got := renderAll(IndexedMasked(g, mask, nil)); got != want {
-				t.Errorf("%s seed %d: IndexedMasked diverges\nmask: %s\ngot:\n%swant:\n%s",
-					wl.Name, seed, mask, got, want)
-			}
-			if got := renderAll(ParallelMasked(g, 4, mask, nil)); got != want {
-				t.Errorf("%s seed %d: ParallelMasked diverges\nmask: %s\ngot:\n%swant:\n%s",
-					wl.Name, seed, mask, got, want)
+			want := renderAll(Detect(g, Opts{Workers: 1}))
+			for _, workers := range []int{1, 4} {
+				if got := renderAll(Detect(g, Opts{Mask: mask, Workers: workers})); got != want {
+					t.Errorf("%s seed %d workers %d: masked Detect diverges\nmask: %s\ngot:\n%swant:\n%s",
+						wl.Name, seed, workers, mask, got, want)
+				}
 			}
 		}
 	}
@@ -86,7 +84,7 @@ func TestMaskPrunesShardedBuckets(t *testing.T) {
 	mask := res.Conflicts.Mask()
 
 	sink := obs.New()
-	races := IndexedMasked(g, mask, sink)
+	races := Detect(g, Opts{Mask: mask, Workers: 1, Obs: sink})
 	if len(races) != 0 {
 		t.Fatalf("sharded workload should be race-free, got %d races", len(races))
 	}
@@ -127,7 +125,7 @@ func TestLocksetPrunesGuardedCounter(t *testing.T) {
 	}
 	g := parallel.Build(v.Log, len(art.Prog.Globals))
 	sink := obs.New()
-	if races := IndexedMasked(g, mask, sink); len(races) != 0 {
+	if races := Detect(g, Opts{Mask: mask, Workers: 1, Obs: sink}); len(races) != 0 {
 		t.Fatalf("guarded counter must be race-free, got %d races", len(races))
 	}
 	if pairs := sink.Snapshot().Counters["race.pairs"]; pairs != 0 {
@@ -163,7 +161,7 @@ func TestRaceNamesFromGraph(t *testing.T) {
 		names[gid] = def.Name
 	}
 	g.VarNames = names
-	races := Indexed(g)
+	races := Detect(g, Opts{Workers: 1})
 	if len(races) == 0 {
 		t.Fatal("expected races on the unprotected counter")
 	}
@@ -182,8 +180,8 @@ func TestRaceNamesFromGraph(t *testing.T) {
 }
 
 // BenchmarkRacePruned measures the masked detector on the conflict-sparse
-// sharded workload against the unfiltered baseline (BenchmarkRaceIndexed
-// shape); E16 reports the same comparison.
+// sharded workload against the unfiltered baseline (BenchmarkRaceDetect's
+// workers=1 shape); E16 reports the same comparison.
 func BenchmarkRacePruned(b *testing.B) {
 	wl := workloads.Sharded(8, 120)
 	art, err := compile.CompileSource(wl.Name, wl.Src, eblock.Config{})
@@ -198,12 +196,12 @@ func BenchmarkRacePruned(b *testing.B) {
 	mask := analysis.Analyze(art.PDG, art.Prog, nil).Conflicts.Mask()
 	b.Run("unfiltered", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			Indexed(g)
+			Detect(g, Opts{Workers: 1})
 		}
 	})
 	b.Run("masked", func(b *testing.B) {
 		for i := 0; i < b.N; i++ {
-			IndexedMasked(g, mask, nil)
+			Detect(g, Opts{Mask: mask, Workers: 1})
 		}
 	})
 }

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"ppd/internal/analysis"
 	"ppd/internal/bitset"
 	"ppd/internal/compile"
 	"ppd/internal/eblock"
@@ -27,7 +28,7 @@ func detect(t *testing.T, src string, opts vm.Options) ([]*Race, *parallel.Graph
 		t.Fatalf("run: %v", err)
 	}
 	g := parallel.Build(v.Log, len(art.Prog.Globals))
-	return Indexed(g), g, art
+	return Detect(g, Opts{Workers: 1}), g, art
 }
 
 // TestSection63Race reproduces the paper's §6.3 example: SV written in
@@ -173,56 +174,6 @@ func main() {
 	}
 }
 
-func TestNaiveAndIndexedAgree(t *testing.T) {
-	srcs := []string{
-		// racy
-		`
-shared a; shared b;
-sem done = 0;
-func w1() { a = 1; b = a + 1; V(done); }
-func w2() { b = 2; a = b * 3; V(done); }
-func main() { spawn w1(); spawn w2(); P(done); P(done); }`,
-		// race-free
-		`
-shared a;
-sem m = 1;
-sem done = 0;
-func w() { P(m); a = a + 1; V(m); V(done); }
-func main() { spawn w(); spawn w(); P(done); P(done); }`,
-		// disjoint variables: no conflicts at all
-		`
-shared a; shared b;
-sem done = 0;
-func w1() { a = 1; V(done); }
-func w2() { b = 2; V(done); }
-func main() { spawn w1(); spawn w2(); P(done); P(done); }`,
-	}
-	for i, src := range srcs {
-		for _, seed := range []int64{0, 4} {
-			art, err := compile.CompileSource("agree.mpl", src, eblock.Config{})
-			if err != nil {
-				t.Fatal(err)
-			}
-			v := vm.New(art.Prog, vm.Options{Mode: vm.ModeLog, Seed: seed, Quantum: 1})
-			if err := v.Run(); err != nil {
-				t.Fatal(err)
-			}
-			g := parallel.Build(v.Log, len(art.Prog.Globals))
-			naive := Naive(g)
-			indexed := Indexed(g)
-			if len(naive) != len(indexed) {
-				t.Errorf("src %d seed %d: naive=%d indexed=%d races", i, seed, len(naive), len(indexed))
-				continue
-			}
-			for k := range naive {
-				if naive[k].key() != indexed[k].key() || naive[k].Kind != indexed[k].Kind {
-					t.Errorf("src %d seed %d: race %d differs: %v vs %v", i, seed, k, naive[k], indexed[k])
-				}
-			}
-		}
-	}
-}
-
 func TestRaceOnArray(t *testing.T) {
 	src := `
 shared buf[4];
@@ -276,27 +227,152 @@ func TestReportRendering(t *testing.T) {
 	_ = logging.OpP
 }
 
-// TestDetectorsEquivalence is the cross-detector golden contract: Naive,
-// Indexed, and Parallel (at several worker counts) must return identical
-// race sets — same order, same pairs, same kinds, same variables — on every
-// standard workload and on a seeded racy one. Determinism is the product:
-// the parallel detector is only admissible because of this test.
+// Small hand-written programs shared by the equivalence tests: racyPair
+// races on both variables, guarded serializes its one write behind a
+// lock, disjoint touches no variable from two processes, and racyTwo
+// races on two counters.
+var (
+	racyPair = &workloads.Workload{Name: "racy-pair", Src: `
+shared a; shared b;
+sem done = 0;
+func w1() { a = 1; b = a + 1; V(done); }
+func w2() { b = 2; a = b * 3; V(done); }
+func main() { spawn w1(); spawn w2(); P(done); P(done); }`}
+	guarded = &workloads.Workload{Name: "guarded", Src: `
+shared a;
+sem m = 1;
+sem done = 0;
+func w() { P(m); a = a + 1; V(m); V(done); }
+func main() { spawn w(); spawn w(); P(done); P(done); }`}
+	disjoint = &workloads.Workload{Name: "disjoint", Src: `
+shared a; shared b;
+sem done = 0;
+func w1() { a = 1; V(done); }
+func w2() { b = 2; V(done); }
+func main() { spawn w1(); spawn w2(); P(done); P(done); }`}
+	racyTwo = &workloads.Workload{Name: "racy-two", Src: `
+shared a;
+shared b;
+sem done = 0;
+func w() { a = a + 1; b = b + 1; V(done); }
+func main() { spawn w(); spawn w(); P(done); P(done); }`}
+)
+
+// TestNaiveAndIndexedAgree checks the sequential Detect against the Naive
+// oracle on the hand-written programs under two schedules.
+func TestNaiveAndIndexedAgree(t *testing.T) {
+	for _, wl := range []*workloads.Workload{racyPair, guarded, disjoint} {
+		for _, seed := range []int64{0, 4} {
+			art, err := compile.CompileSource(wl.Name, wl.Src, eblock.Config{})
+			if err != nil {
+				t.Fatal(err)
+			}
+			v := vm.New(art.Prog, vm.Options{Mode: vm.ModeLog, Seed: seed, Quantum: 1})
+			if err := v.Run(); err != nil {
+				t.Fatal(err)
+			}
+			g := parallel.Build(v.Log, len(art.Prog.Globals))
+			naive, indexed := Naive(g), Detect(g, Opts{Workers: 1})
+			if !sameRaces(naive, indexed) {
+				t.Errorf("%s seed %d: naive=%d indexed=%d races", wl.Name, seed, len(naive), len(indexed))
+			}
+		}
+	}
+}
+
+// TestIndexedObsCountersAndEquivalence checks that observing the
+// sequential Detect changes nothing it returns and that its counters
+// reconcile with the races it found.
+func TestIndexedObsCountersAndEquivalence(t *testing.T) {
+	want, g, _ := detect(t, racyTwo.Src, vm.Options{Quantum: 1})
+	if len(want) == 0 {
+		t.Fatal("test program must race")
+	}
+	sink := obs.New()
+	got := Detect(g, Opts{Workers: 1, Obs: sink})
+	if Report(got, gidName) != Report(want, gidName) {
+		t.Errorf("observed Detect != unobserved:\n%s\nvs\n%s",
+			Report(got, gidName), Report(want, gidName))
+	}
+	snap := sink.Snapshot()
+	if n := snap.Counter("race.runs"); n != 1 {
+		t.Errorf("race.runs = %d, want 1", n)
+	}
+	if n := snap.Counter("race.races"); n != int64(len(want)) {
+		t.Errorf("race.races = %d, want %d", n, len(want))
+	}
+	if n := snap.Counter("race.pairs"); n < int64(len(want)) {
+		t.Errorf("race.pairs = %d, want >= %d (every race was a checked pair)", n, len(want))
+	}
+	if snap.Timer("debug.race").Count != 1 {
+		t.Error("debug.race scope not observed")
+	}
+}
+
+// TestParallelObsMatchesIndexedObs checks that the sharded Detect returns
+// the sequential one's races and tests the same candidate pairs.
+func TestParallelObsMatchesIndexedObs(t *testing.T) {
+	wl := workloads.Sharded(4, 20)
+	art, err := compile.CompileSource(wl.Name, wl.Src, eblock.Config{})
+	if err != nil {
+		t.Fatalf("compile: %v", err)
+	}
+	v := vm.New(art.Prog, vm.Options{Mode: vm.ModeLog, Quantum: 3})
+	if err := v.Run(); err != nil {
+		t.Fatalf("run: %v", err)
+	}
+	g := parallel.Build(v.Log, len(art.Prog.Globals))
+	sinkI, sinkP := obs.New(), obs.New()
+	want := Detect(g, Opts{Workers: 1, Obs: sinkI})
+	for _, workers := range []int{1, 2, 4} {
+		got := Detect(g, Opts{Workers: workers, Obs: sinkP})
+		if Report(got, gidName) != Report(want, gidName) {
+			t.Errorf("workers=%d: sharded Detect != sequential", workers)
+		}
+	}
+	// Every width checked the same universe of conflicting pairs.
+	pi := sinkI.Snapshot().Counter("race.pairs")
+	pp := sinkP.Snapshot().Counter("race.pairs")
+	if pp != 3*pi {
+		t.Errorf("sharded pairs = %d over 3 runs, sequential = %d per run", pp, pi)
+	}
+}
+
+func gidName(gid int) string { return fmt.Sprintf("g%d", gid) }
+
+// TestDetectorsEquivalence is the cross-detector golden contract: Detect,
+// at several worker counts and with and without the static conflict mask,
+// must return the race set of the Naive oracle — same order, same pairs,
+// same kinds, same variables — on every standard workload, on seeded racy
+// ones and on small hand-written programs (racy, lock-guarded, disjoint).
+// Its counters must reconcile too: one run, the races it returned, and the
+// same candidate pairs and pruned buckets at every worker count, because
+// sharding splits the scan without changing it. Determinism is the
+// product: the parallel scan is only admissible because of this test.
 func TestDetectorsEquivalence(t *testing.T) {
 	type caseDef struct {
 		wl      *workloads.Workload
 		quantum int
 		seed    int64
+		racy    bool // the run must report at least one race
 	}
 	var cases []caseDef
 	for _, wl := range workloads.Standard() {
-		cases = append(cases, caseDef{wl, 3, 0})
+		cases = append(cases, caseDef{wl, 3, 0, false})
 	}
 	cases = append(cases,
-		caseDef{workloads.RacyCounter(4, 6, false), 1, 0},
-		caseDef{workloads.RacyCounter(4, 6, false), 1, 7},
-		caseDef{workloads.RacyCounter(3, 5, true), 1, 3},
-		caseDef{workloads.Sharded(4, 8), 3, 0},
+		caseDef{workloads.RacyCounter(4, 6, false), 1, 0, false},
+		caseDef{workloads.RacyCounter(4, 6, false), 1, 7, false},
+		caseDef{workloads.RacyCounter(3, 5, true), 1, 3, false},
+		caseDef{workloads.Sharded(4, 8), 3, 0, false},
+		caseDef{workloads.Sharded(4, 20), 3, 0, false},
+		caseDef{racyTwo, 1, 0, true},
 	)
+	for _, wl := range []*workloads.Workload{racyPair, guarded, disjoint} {
+		for _, seed := range []int64{0, 4} {
+			cases = append(cases, caseDef{wl, 1, seed, false})
+		}
+	}
 	for _, tc := range cases {
 		art, err := compile.CompileSource(tc.wl.Name, tc.wl.Src, eblock.Config{})
 		if err != nil {
@@ -307,16 +383,49 @@ func TestDetectorsEquivalence(t *testing.T) {
 			t.Fatalf("%s: run: %v", tc.wl.Name, err)
 		}
 		g := parallel.Build(v.Log, len(art.Prog.Globals))
-		want := Indexed(g)
-		if naive := Naive(g); !sameRaces(want, naive) {
-			t.Errorf("%s seed %d: Naive diverges from Indexed (%d vs %d races)",
-				tc.wl.Name, tc.seed, len(naive), len(want))
+		want := Naive(g)
+		if tc.racy && len(want) == 0 {
+			t.Fatalf("%s seed %d: program must race", tc.wl.Name, tc.seed)
 		}
-		for _, workers := range []int{1, 2, 4, 8} {
-			got := Parallel(g, workers)
-			if !sameRaces(want, got) {
-				t.Errorf("%s seed %d workers %d: Parallel diverges from Indexed (%d vs %d races)",
-					tc.wl.Name, tc.seed, workers, len(got), len(want))
+		mask := analysis.Analyze(art.PDG, art.Prog, nil).Conflicts.Mask()
+		var fullPairs int64
+		for _, m := range []*bitset.Set{nil, mask} {
+			var pairs1, pruned1 int64
+			for _, workers := range []int{1, 2, 4} {
+				where := fmt.Sprintf("%s seed %d workers %d masked %t", tc.wl.Name, tc.seed, workers, m != nil)
+				sink := obs.New()
+				got := Detect(g, Opts{Mask: m, Workers: workers, Obs: sink})
+				if !sameRaces(want, got) {
+					t.Errorf("%s: Detect diverges from Naive (%d vs %d races)", where, len(got), len(want))
+				}
+				snap := sink.Snapshot()
+				pairs, pruned := snap.Counter("race.pairs"), snap.Counter("race.buckets.pruned")
+				if n := snap.Counter("race.runs"); n != 1 {
+					t.Errorf("%s: race.runs = %d, want 1", where, n)
+				}
+				if n := snap.Counter("race.races"); n != int64(len(got)) {
+					t.Errorf("%s: race.races = %d, want %d", where, n, len(got))
+				}
+				if pairs < int64(len(got)) {
+					t.Errorf("%s: race.pairs = %d, want >= %d (every race was a checked pair)", where, pairs, len(got))
+				}
+				if snap.Timer("debug.race").Count != 1 {
+					t.Errorf("%s: debug.race scope not observed once", where)
+				}
+				if workers == 1 {
+					pairs1, pruned1 = pairs, pruned
+				} else if pairs != pairs1 || pruned != pruned1 {
+					t.Errorf("%s: pairs/pruned = %d/%d, want %d/%d as at one worker",
+						where, pairs, pruned, pairs1, pruned1)
+				}
+			}
+			switch {
+			case m == nil && pruned1 != 0:
+				t.Errorf("%s seed %d: unmasked scan pruned %d buckets", tc.wl.Name, tc.seed, pruned1)
+			case m == nil:
+				fullPairs = pairs1
+			case pairs1 > fullPairs:
+				t.Errorf("%s seed %d: masked scan tested %d pairs, unmasked %d", tc.wl.Name, tc.seed, pairs1, fullPairs)
 			}
 		}
 	}
@@ -345,7 +454,7 @@ func sameRaces(a, b []*Race) bool {
 }
 
 // TestRacyCounterHasRacesAcrossDetectors seeds a genuinely racy workload
-// and checks all three detectors agree it races.
+// and checks Naive and Detect, sequential and sharded, agree it races.
 func TestRacyCounterHasRacesAcrossDetectors(t *testing.T) {
 	wl := workloads.RacyCounter(3, 4, false)
 	art, err := compile.CompileSource(wl.Name, wl.Src, eblock.Config{})
@@ -357,72 +466,11 @@ func TestRacyCounterHasRacesAcrossDetectors(t *testing.T) {
 		t.Fatal(err)
 	}
 	g := parallel.Build(v.Log, len(art.Prog.Globals))
-	n, i, p := Naive(g), Indexed(g), Parallel(g, 4)
-	if len(i) == 0 {
+	n, d1, d4 := Naive(g), Detect(g, Opts{Workers: 1}), Detect(g, Opts{Workers: 4})
+	if len(d1) == 0 {
 		t.Fatal("unprotected counter must race")
 	}
-	if !sameRaces(i, n) || !sameRaces(i, p) {
-		t.Errorf("detectors disagree: naive=%d indexed=%d parallel=%d", len(n), len(i), len(p))
+	if !sameRaces(d1, n) || !sameRaces(d1, d4) {
+		t.Errorf("detectors disagree: naive=%d workers1=%d workers4=%d", len(n), len(d1), len(d4))
 	}
 }
-
-func TestIndexedObsCountersAndEquivalence(t *testing.T) {
-	src := `
-shared a;
-shared b;
-sem done = 0;
-func w() { a = a + 1; b = b + 1; V(done); }
-func main() { spawn w(); spawn w(); P(done); P(done); }`
-	want, g, _ := detect(t, src, vm.Options{Quantum: 1})
-	if len(want) == 0 {
-		t.Fatal("test program must race")
-	}
-	sink := obs.New()
-	got := IndexedObs(g, sink)
-	if Report(got, gidName) != Report(want, gidName) {
-		t.Errorf("IndexedObs != Indexed:\n%s\nvs\n%s",
-			Report(got, gidName), Report(want, gidName))
-	}
-	snap := sink.Snapshot()
-	if n := snap.Counter("race.runs"); n != 1 {
-		t.Errorf("race.runs = %d, want 1", n)
-	}
-	if n := snap.Counter("race.races"); n != int64(len(want)) {
-		t.Errorf("race.races = %d, want %d", n, len(want))
-	}
-	if n := snap.Counter("race.pairs"); n < int64(len(want)) {
-		t.Errorf("race.pairs = %d, want >= %d (every race was a checked pair)", n, len(want))
-	}
-	if snap.Timer("debug.race").Count != 1 {
-		t.Error("debug.race scope not observed")
-	}
-}
-
-func TestParallelObsMatchesIndexedObs(t *testing.T) {
-	wl := workloads.Sharded(4, 20)
-	art, err := compile.CompileSource(wl.Name, wl.Src, eblock.Config{})
-	if err != nil {
-		t.Fatalf("compile: %v", err)
-	}
-	v := vm.New(art.Prog, vm.Options{Mode: vm.ModeLog, Quantum: 3})
-	if err := v.Run(); err != nil {
-		t.Fatalf("run: %v", err)
-	}
-	g := parallel.Build(v.Log, len(art.Prog.Globals))
-	sinkI, sinkP := obs.New(), obs.New()
-	want := IndexedObs(g, sinkI)
-	for _, workers := range []int{1, 2, 4} {
-		got := ParallelObs(g, workers, sinkP)
-		if Report(got, gidName) != Report(want, gidName) {
-			t.Errorf("workers=%d: ParallelObs != IndexedObs", workers)
-		}
-	}
-	// Both variants checked the same universe of conflicting pairs.
-	pi := sinkI.Snapshot().Counter("race.pairs")
-	pp := sinkP.Snapshot().Counter("race.pairs")
-	if pp != 3*pi {
-		t.Errorf("parallel pairs = %d over 3 runs, indexed = %d per run", pp, pi)
-	}
-}
-
-func gidName(gid int) string { return fmt.Sprintf("g%d", gid) }

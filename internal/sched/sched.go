@@ -1,7 +1,7 @@
 // Package sched is the debugging phase's shared worker pool: a small,
-// bounded fan-out primitive used by the Controller's per-process emulator
-// setup and cache prefetching and by the parallel race detector
-// (race.Parallel).
+// bounded fan-out primitive used by the Controller's cache prefetching, by
+// the race detector (race.Detect) and by the preparatory phase's
+// per-function passes.
 //
 // The paper's §7 leaves "reducing the cost of finding all pairs of possible
 // conflicting edges" open, and every debugging-phase analysis here

@@ -31,7 +31,7 @@
 // Oracle equivalence: after renumbering the (few) edges retained by
 // races into the global ID space — global IDs are contiguous per process
 // in pid order, so (PID, local index) order is global order — the
-// canonicalized result is byte-identical to race.IndexedMasked over the
+// canonicalized result is byte-identical to race.Detect over the
 // batch-built graph of the same records, at any batch size. The golden
 // gate TestOnlineRacesByteIdentical and FuzzStreamBatches pin this.
 package stream

@@ -129,9 +129,9 @@ func TestOnlineRacesByteIdentical(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/s%d_q%d", wl.Name, cfg.seed, cfg.quantum), func(t *testing.T) {
 				cr := captureRun(t, wl.Name+".mpl", wl.Src, cfg.seed, cfg.quantum)
 				g := cr.oracleGraph()
-				want := race.Report(race.IndexedMasked(g, cr.mask, nil), nil)
+				want := race.Report(race.Detect(g, race.Opts{Mask: cr.mask, Workers: 1}), nil)
 				for _, w := range workers {
-					got := race.Report(race.ParallelMasked(g, w, cr.mask, nil), nil)
+					got := race.Report(race.Detect(g, race.Opts{Mask: cr.mask, Workers: w}), nil)
 					if got != want {
 						t.Fatalf("parallel oracle (workers=%d) diverges:\n got: %swant: %s", w, got, want)
 					}
@@ -197,7 +197,7 @@ func FuzzStreamBatches(f *testing.F) {
 	wl := workloads.RacyCounter(3, 10, false)
 	cr := captureRun(f, wl.Name+".mpl", wl.Src, 2, 3)
 	g := cr.oracleGraph()
-	want := race.Report(race.IndexedMasked(g, cr.mask, nil), nil)
+	want := race.Report(race.Detect(g, race.Opts{Mask: cr.mask, Workers: 1}), nil)
 
 	f.Add([]byte{1})
 	f.Add([]byte{7, 1, 255})
@@ -290,7 +290,7 @@ func main() {
 }`
 	for _, q := range []int{1, 5, 40} {
 		cr := captureRun(t, "oldsource.mpl", src, 1, q)
-		want := race.Report(race.IndexedMasked(cr.oracleGraph(), cr.mask, nil), nil)
+		want := race.Report(race.Detect(cr.oracleGraph(), race.Opts{Mask: cr.mask, Workers: 1}), nil)
 		if !strings.Contains(want, "write/write") {
 			t.Fatalf("quantum %d: the oracle finds no race on x:\n%s", q, want)
 		}

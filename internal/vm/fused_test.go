@@ -112,7 +112,7 @@ func raceReport(t testing.TB, name, src string, cfg eblock.Config, tab *bytecode
 	for _, r := range race.Naive(g) {
 		fmt.Fprintln(&a, r)
 	}
-	for _, r := range race.Indexed(g) {
+	for _, r := range race.Detect(g, race.Opts{Workers: 1}) {
 		fmt.Fprintln(&b, r)
 	}
 	return a.String(), b.String()

@@ -1,6 +1,6 @@
 // Package workloads provides the MPL benchmark programs used by the
-// experiment harness (cmd/ppdbench) and the top-level benchmarks. They are
-// modelled on the program classes the paper's informal experiments used
+// top-level benchmarks, the tests and perfbench. They are modelled on the
+// program classes the paper's informal experiments used
 // (§7: "hand-annotating programs using the semantic analyses" and measuring
 // tracing overhead): a compute-bound kernel, a producer/consumer pipeline,
 // a token ring, and a recursive divide-and-conquer — spanning the spectrum

@@ -178,9 +178,9 @@ func (s *Session) WhatIf(pid, prelogIdx int, global string, value int64) (*WhatI
 // ReplayTo rebuilds process pid's global state as of record index idx
 // (exclusive) by folding the log's prelogs, postlogs, and shared prelogs —
 // §5.7's state restoration. Restoration is checkpointed: the controller
-// snapshots the fold state every CheckpointEvery records, so stepping a
-// restore cursor through a long log costs O(K) per query instead of
-// O(run prefix).
+// snapshots the fold state every K = 64 records
+// (controller.DefaultCheckpointEvery), so stepping a restore cursor
+// through a long log costs O(K) per query instead of O(run prefix).
 func (s *Session) ReplayTo(pid, idx int) (*StateSnapshot, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
